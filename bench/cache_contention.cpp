@@ -2,8 +2,8 @@
  * @file
  * Prediction-cache read-contention bench: aggregate reader req/s on a
  * warm serve::PredictionCache at 1/4/8/16 threads, plus a mixed arm
- * (one writer refreshing entries under the same load) showing that
- * writes do not stall the lock-free read path. Writes a
+ * (one writer refreshing entries under the same load) showing what
+ * writers cost readers that share the per-stripe mutexes. Writes a
  * BENCH_cache_contention.json artifact for CI and exits nonzero when
  * the 16-thread reader scaling falls under the hardware-aware gate
  * derived from --min-scaling (a 1-core runner cannot exhibit 6x

@@ -127,7 +127,6 @@ spawnServer(size_t shards, size_t workers, bool chaos,
             engine->backend();
             serve::ServerOptions options;
             options.workers = workers;
-            options.cache = engine->predictionCache();
             return std::make_unique<serve::ForecastServer>(engine,
                                                            options);
         };

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "api/engine.hpp"
 #include "bench_common.hpp"
 #include "common/argparse.hpp"
 #include "common/json.hpp"
@@ -114,11 +115,16 @@ runOnce(const graph::LatencyPredictor &backend, size_t workers,
         const std::shared_ptr<serve::PredictionCache> &cache,
         const std::vector<serve::ForecastRequest> &requests)
 {
+    // The backend carries its own cache wiring (attachCache or the
+    // CachedPredictor decorator), so the engine adds no cache of its own.
+    auto registry = std::make_shared<api::PredictorRegistry>();
+    registry->addExternal("bench", backend);
+    auto engine = std::make_shared<api::ForecastEngine>(
+        api::EngineConfig().backend("bench").withRegistry(registry).cache(0));
     serve::ServerOptions options;
     options.workers = workers;
     options.queueCapacity = requests.size() + 1;
-    options.cache = cache;
-    serve::ForecastServer server(backend, options);
+    serve::ForecastServer server(engine, options);
 
     std::vector<std::future<serve::ForecastResult>> futures;
     futures.reserve(requests.size());
@@ -142,7 +148,7 @@ runOnce(const graph::LatencyPredictor &backend, size_t workers,
     if (cache)
         out.hitRate = cache->stats().hitRate();
     // The server's own end-to-end histogram (each runOnce builds a
-    // fresh internal engine, so the distribution is this run's alone).
+    // fresh engine, so the distribution is this run's alone).
     const auto e2e = server.metrics()->histogram("serve.e2e_us");
     out.p50Us = e2e->quantile(0.50);
     out.p99Us = e2e->quantile(0.99);

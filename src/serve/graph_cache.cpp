@@ -6,7 +6,7 @@
 
 namespace neusight::serve {
 
-ModelGraphCache::ModelGraphCache(size_t capacity) : maxEntries(capacity)
+ModelGraphCache::ModelGraphCache(size_t capacity) : lru(capacity)
 {
     ensure(capacity >= 1, "ModelGraphCache: capacity must be at least 1");
 }
@@ -15,14 +15,13 @@ std::shared_ptr<const graph::KernelGraph>
 ModelGraphCache::lookup(const std::string &key)
 {
     std::lock_guard<std::mutex> lock(mutex);
-    const auto it = index.find(key);
-    if (it == index.end()) {
+    const auto *found = lru.find(key);
+    if (found == nullptr) {
         missCount->inc();
         return nullptr;
     }
     hitCount->inc();
-    lru.splice(lru.begin(), lru, it->second);
-    return it->second->second;
+    return *found;
 }
 
 void
@@ -31,19 +30,8 @@ ModelGraphCache::insert(const std::string &key,
 {
     std::lock_guard<std::mutex> lock(mutex);
     insertCount->inc();
-    const auto it = index.find(key);
-    if (it != index.end()) {
-        it->second->second = std::move(graph);
-        lru.splice(lru.begin(), lru, it->second);
-        return;
-    }
-    if (lru.size() >= maxEntries) {
-        index.erase(lru.back().first);
-        lru.pop_back();
+    if (lru.put(key, std::move(graph)) == LruPut::Evicted)
         evictionCount->inc();
-    }
-    lru.emplace_front(key, std::move(graph));
-    index[key] = lru.begin();
 }
 
 std::shared_ptr<const graph::KernelGraph>
@@ -87,16 +75,8 @@ ModelGraphCache::stats() const
     s.evictions = evictionCount->value();
     s.inserts = insertCount->value();
     s.size = lru.size();
-    s.capacity = maxEntries;
+    s.capacity = lru.capacity();
     return s;
-}
-
-void
-ModelGraphCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    lru.clear();
-    index.clear();
 }
 
 size_t

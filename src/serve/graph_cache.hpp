@@ -14,20 +14,20 @@
 #define NEUSIGHT_SERVE_GRAPH_CACHE_HPP
 
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "graph/graph.hpp"
+#include "serve/lru.hpp"
 #include "serve/prediction_cache.hpp"
 
 namespace neusight::serve {
 
 /**
  * Thread-safe LRU cache from a graph fingerprint to an immutable built
- * KernelGraph. A single mutex guards the map: entries are two orders of
+ * KernelGraph. A single mutex guards the LRU map (serve/lru.hpp, the
+ * core each PredictionCache stripe uses too): entries are two orders of
  * magnitude fewer (and three heavier) than kernel predictions, so shard
  * contention is not the bottleneck the prediction cache has to dodge.
  */
@@ -44,7 +44,8 @@ class ModelGraphCache
     std::shared_ptr<const graph::KernelGraph>
     lookup(const std::string &key);
 
-    /** Insert (or refresh) @p key, evicting the LRU entry when full. */
+    /** Insert (or refresh) @p key, evicting the LRU entry when full.
+     *  A refresh counts as an insert. */
     void insert(const std::string &key,
                 std::shared_ptr<const graph::KernelGraph> graph);
 
@@ -71,24 +72,15 @@ class ModelGraphCache
                                 obs::MetricsRegistry &registry,
                                 const std::string &prefix);
 
-    /** Drop every entry; counters keep accumulating. */
-    void clear();
-
     /** Current number of cached graphs. */
     size_t size() const;
 
     /** Maximum cached graphs. */
-    size_t capacity() const { return maxEntries; }
+    size_t capacity() const { return lru.capacity(); }
 
   private:
-    using Entry =
-        std::pair<std::string, std::shared_ptr<const graph::KernelGraph>>;
-
     mutable std::mutex mutex;
-    /** Front = most recently used. */
-    std::list<Entry> lru;
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
-    size_t maxEntries;
+    LruMap<std::shared_ptr<const graph::KernelGraph>> lru;
     /** obs counters (adoptable into a MetricsRegistry); incremented
      *  under the mutex but independently readable. */
     std::shared_ptr<obs::Counter> hitCount =

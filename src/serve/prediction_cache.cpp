@@ -1,14 +1,14 @@
 #include "serve/prediction_cache.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <functional>
-#include <sstream>
+#include <mutex>
 #include <thread>
 #include <utility>
 
 #include "common/json.hpp"
 #include "common/logging.hpp"
+#include "serve/lru.hpp"
 
 namespace neusight::serve {
 
@@ -16,54 +16,35 @@ using core::PredictionDetail;
 using gpusim::GpuSpec;
 using gpusim::KernelDesc;
 
-struct PredictionCache::Entry
+// Cache-line aligned, so neighbouring stripes' locks never share a line.
+struct alignas(64) PredictionCache::Stripe
 {
-    std::string key;
-    core::PredictionDetail detail;
-    size_t hash = 0;
-    /** LRU timestamp; the only field mutated after publication. */
-    std::atomic<uint64_t> lastUsed{0};
-};
+    explicit Stripe(size_t capacity) : lru(capacity) {}
 
-struct PredictionCache::Stripe
-{
-    /** Serializes insert/evict/compact/clear; never taken by lookup. */
-    mutable std::mutex writerMutex;
-    /** Open-addressing slots: null = chain end, tombstone = deleted. */
-    std::unique_ptr<std::atomic<Entry *>[]> slots;
-    /** Live entries (writer-mutex guarded). */
-    size_t liveCount = 0;
-    /** Empty (null) slots left (writer-mutex guarded). */
-    size_t nullCount = 0;
-    /** In-flight lock-free readers; gates limbo reclamation. */
-    mutable std::atomic<uint64_t> activeReaders{0};
-    /** Unpublished entries awaiting a reader-free grace period. */
-    std::vector<Entry *> limbo;
+    std::mutex mutex;
+    LruMap<PredictionDetail> lru;
 };
 
 namespace {
 
-/** Writers spin for a reader-free window past this limbo backlog. */
-constexpr size_t kLimboBackstop = 4096;
-
-size_t
-nextPow2(size_t v)
+/**
+ * Lock a stripe for a lookup or insert. A contended std::mutex puts the
+ * thread to sleep in the kernel at once, while a stripe's critical
+ * section lasts about 100 ns; yielding a bounded number of times first
+ * lets the holder finish without that round trip.
+ */
+std::unique_lock<std::mutex>
+lockStripe(std::mutex &mutex)
 {
-    size_t p = 1;
-    while (p < v)
-        p <<= 1;
-    return p;
+    for (int attempt = 0; attempt < 100; ++attempt) {
+        if (mutex.try_lock())
+            return std::unique_lock<std::mutex>(mutex, std::adopt_lock);
+        std::this_thread::yield();
+    }
+    return std::unique_lock<std::mutex>(mutex);
 }
 
 } // namespace
-
-PredictionCache::Entry *
-PredictionCache::tombstone()
-{
-    // Distinguished sentinel address; never dereferenced, never freed.
-    static Entry sentinel;
-    return &sentinel;
-}
 
 PredictionCache::PredictionCache(size_t capacity, size_t num_shards)
 {
@@ -75,225 +56,48 @@ PredictionCache::PredictionCache(size_t capacity, size_t num_shards)
     // budget (size() <= capacity() always holds); the clamp above
     // guarantees at least one entry per stripe.
     totalCapacity = capacity;
-    stripeCapacity = capacity / num_shards;
-    // At least 2x headroom over the per-stripe entry budget, so probe
-    // chains stay short and a null terminator always exists.
-    slotsPerStripe = nextPow2(std::max<size_t>(8, 2 * stripeCapacity));
-    slotMask = slotsPerStripe - 1;
     stripes.reserve(num_shards);
-    for (size_t i = 0; i < num_shards; ++i) {
-        auto stripe = std::make_unique<Stripe>();
-        stripe->slots =
-            std::make_unique<std::atomic<Entry *>[]>(slotsPerStripe);
-        for (size_t s = 0; s < slotsPerStripe; ++s)
-            stripe->slots[s].store(nullptr, std::memory_order_relaxed);
-        stripe->nullCount = slotsPerStripe;
-        stripes.push_back(std::move(stripe));
-    }
+    for (size_t i = 0; i < num_shards; ++i)
+        stripes.push_back(std::make_unique<Stripe>(capacity / num_shards));
 }
 
-PredictionCache::~PredictionCache()
-{
-    // No concurrent access by contract at destruction time.
-    for (auto &stripe : stripes) {
-        for (size_t i = 0; i < slotsPerStripe; ++i) {
-            Entry *e = stripe->slots[i].load(std::memory_order_relaxed);
-            if (e != nullptr && e != tombstone())
-                delete e;
-        }
-        for (Entry *e : stripe->limbo)
-            delete e;
-    }
-}
+PredictionCache::~PredictionCache() = default;
 
 PredictionCache::Stripe &
-PredictionCache::stripeFor(size_t hash) const
+PredictionCache::stripeFor(const std::string &key) const
 {
-    return *stripes[hash % stripes.size()];
-}
-
-uint64_t
-PredictionCache::nextTick() const
-{
-    return clock.fetch_add(1, std::memory_order_relaxed);
+    return *stripes[std::hash<std::string>{}(key) % stripes.size()];
 }
 
 bool
 PredictionCache::lookup(const std::string &key, PredictionDetail &out)
 {
-    const size_t h = std::hash<std::string>{}(key);
-    Stripe &stripe = stripeFor(h);
-    // Reader protocol: register in the stripe's epoch counter BEFORE
-    // loading any slot. A writer only frees a retired entry after
-    // unpublishing it and then observing the counter at zero, so (by
-    // the sequentially consistent ordering of the two counter accesses
-    // against the slot store) any reader that could still hold the
-    // pointer is either counted — blocking the free — or started after
-    // the unpublish and cannot obtain the pointer at all.
-    stripe.activeReaders.fetch_add(1, std::memory_order_seq_cst);
+    Stripe &stripe = stripeFor(key);
     bool hit = false;
-    size_t idx = h & slotMask;
-    for (size_t probe = 0; probe < slotsPerStripe;
-         ++probe, idx = (idx + 1) & slotMask) {
-        Entry *e = stripe.slots[idx].load(std::memory_order_seq_cst);
-        if (e == nullptr)
-            break; // End of probe chain: not present.
-        if (e == tombstone())
-            continue;
-        if (e->hash == h && e->key == key) {
-            out = e->detail;
-            // LRU promotion is a timestamp bump — no list splice, no
-            // lock, no contention with other readers.
-            e->lastUsed.store(nextTick(), std::memory_order_relaxed);
+    {
+        const auto lock = lockStripe(stripe.mutex);
+        if (const PredictionDetail *found = stripe.lru.find(key)) {
+            out = *found;
             hit = true;
-            break;
         }
     }
-    stripe.activeReaders.fetch_sub(1, std::memory_order_seq_cst);
     (hit ? *hits : *misses).inc();
     return hit;
-}
-
-void
-PredictionCache::evictLru(Stripe &stripe)
-{
-    // Exact LRU: the entry with the smallest timestamp. Ticks are
-    // unique (one atomic counter), so the victim is deterministic.
-    size_t victim_idx = slotsPerStripe;
-    Entry *victim = nullptr;
-    uint64_t oldest = UINT64_MAX;
-    for (size_t i = 0; i < slotsPerStripe; ++i) {
-        Entry *e = stripe.slots[i].load(std::memory_order_relaxed);
-        if (e == nullptr || e == tombstone())
-            continue;
-        const uint64_t used = e->lastUsed.load(std::memory_order_relaxed);
-        if (used < oldest) {
-            oldest = used;
-            victim = e;
-            victim_idx = i;
-        }
-    }
-    ensure(victim != nullptr, "PredictionCache: eviction on empty stripe");
-    // Tombstone, not null: the victim may sit mid-chain for other keys.
-    stripe.slots[victim_idx].store(tombstone(),
-                                   std::memory_order_seq_cst);
-    stripe.limbo.push_back(victim);
-    --stripe.liveCount;
-    evictions->inc();
-}
-
-void
-PredictionCache::compact(Stripe &stripe)
-{
-    // Rewrite the slot array without tombstones. Entries are NOT moved
-    // or freed — only the slot array is reshuffled — so a concurrent
-    // reader can at worst see a transient spurious miss (the value is
-    // deterministic, so a recompute returns the same detail), never a
-    // stale or dangling pointer.
-    std::vector<Entry *> live;
-    live.reserve(stripe.liveCount);
-    for (size_t i = 0; i < slotsPerStripe; ++i) {
-        Entry *e = stripe.slots[i].load(std::memory_order_relaxed);
-        if (e != nullptr && e != tombstone())
-            live.push_back(e);
-        stripe.slots[i].store(nullptr, std::memory_order_seq_cst);
-    }
-    stripe.nullCount = slotsPerStripe;
-    for (Entry *e : live) {
-        size_t idx = e->hash & slotMask;
-        while (stripe.slots[idx].load(std::memory_order_relaxed) !=
-               nullptr)
-            idx = (idx + 1) & slotMask;
-        stripe.slots[idx].store(e, std::memory_order_seq_cst);
-        --stripe.nullCount;
-    }
-}
-
-void
-PredictionCache::reclaim(Stripe &stripe)
-{
-    if (stripe.limbo.empty())
-        return;
-    if (stripe.activeReaders.load(std::memory_order_seq_cst) != 0) {
-        if (stripe.limbo.size() < kLimboBackstop)
-            return; // Try again on a later write.
-        // Backstop: readers are wait-free and short, so a reader-free
-        // window arrives quickly; spin rather than grow without bound.
-        while (stripe.activeReaders.load(std::memory_order_seq_cst) != 0)
-            std::this_thread::yield();
-    }
-    // Grace period reached: every reader that could have loaded one of
-    // these pointers has deregistered.
-    for (Entry *e : stripe.limbo)
-        delete e;
-    stripe.limbo.clear();
 }
 
 void
 PredictionCache::insert(const std::string &key,
                         const PredictionDetail &detail)
 {
-    const size_t h = std::hash<std::string>{}(key);
-    Stripe &stripe = stripeFor(h);
-    std::lock_guard<std::mutex> lock(stripe.writerMutex);
-
-    // Probe for an existing entry first (refresh path).
-    size_t idx = h & slotMask;
-    for (size_t probe = 0; probe < slotsPerStripe;
-         ++probe, idx = (idx + 1) & slotMask) {
-        Entry *e = stripe.slots[idx].load(std::memory_order_relaxed);
-        if (e == nullptr)
-            break;
-        if (e == tombstone())
-            continue;
-        if (e->hash == h && e->key == key) {
-            // Refresh: publish a fresh immutable entry in place and
-            // retire the old one. Counts neither as an insert nor as an
-            // eviction, and promotes the key to most-recently-used —
-            // the exact semantics of the locked implementation.
-            Entry *fresh = new Entry;
-            fresh->key = key;
-            fresh->detail = detail;
-            fresh->hash = h;
-            fresh->lastUsed.store(nextTick(),
-                                  std::memory_order_relaxed);
-            stripe.slots[idx].store(fresh, std::memory_order_seq_cst);
-            stripe.limbo.push_back(e);
-            reclaim(stripe);
-            return;
-        }
-    }
-
-    if (stripe.liveCount >= stripeCapacity)
-        evictLru(stripe);
-
-    // Re-probe for the insertion slot: the eviction above may have
-    // turned a slot of this very chain into a tombstone.
-    Entry *fresh = new Entry;
-    fresh->key = key;
-    fresh->detail = detail;
-    fresh->hash = h;
-    fresh->lastUsed.store(nextTick(), std::memory_order_relaxed);
-    idx = h & slotMask;
-    for (;; idx = (idx + 1) & slotMask) {
-        Entry *e = stripe.slots[idx].load(std::memory_order_relaxed);
-        if (e == nullptr) {
-            --stripe.nullCount;
-            stripe.slots[idx].store(fresh, std::memory_order_seq_cst);
-            break;
-        }
-        if (e == tombstone()) {
-            stripe.slots[idx].store(fresh, std::memory_order_seq_cst);
-            break;
-        }
-    }
-    ++stripe.liveCount;
+    Stripe &stripe = stripeFor(key);
+    const auto lock = lockStripe(stripe.mutex);
+    const auto put = stripe.lru.put(key, detail);
+    // A refresh counts as neither an insert nor an eviction.
+    if (put == LruPut::Refreshed)
+        return;
     inserts->inc();
-    // Keep enough null terminators for short, always-terminating probe
-    // chains; tombstones otherwise accumulate under eviction churn.
-    if (stripe.nullCount < slotsPerStripe / 4)
-        compact(stripe);
-    reclaim(stripe);
+    if (put == LruPut::Evicted)
+        evictions->inc();
 }
 
 namespace {
@@ -347,27 +151,14 @@ PredictionCache::saveTo(std::ostream &out) const
 {
     size_t written = 0;
     for (const auto &stripe : stripes) {
-        std::lock_guard<std::mutex> lock(stripe->writerMutex);
+        std::lock_guard<std::mutex> lock(stripe->mutex);
         // Least recently used first, so loadFrom's in-order inserts
         // leave the most recent entries most recent.
-        std::vector<const Entry *> live;
-        live.reserve(stripe->liveCount);
-        for (size_t i = 0; i < slotsPerStripe; ++i) {
-            const Entry *e =
-                stripe->slots[i].load(std::memory_order_seq_cst);
-            if (e != nullptr && e != tombstone())
-                live.push_back(e);
-        }
-        std::sort(live.begin(), live.end(),
-                  [](const Entry *a, const Entry *b) {
-                      return a->lastUsed.load(
-                                 std::memory_order_relaxed) <
-                             b->lastUsed.load(std::memory_order_relaxed);
-                  });
-        for (const Entry *e : live) {
-            out << entryToJson(e->key, e->detail).dump(0) << '\n';
-            ++written;
-        }
+        stripe->lru.forEachOldestFirst(
+            [&](const std::string &key, const PredictionDetail &detail) {
+                out << entryToJson(key, detail).dump(0) << '\n';
+                ++written;
+            });
     }
     return written;
 }
@@ -431,10 +222,7 @@ PredictionCache::stats() const
     s.evictions = evictions->value();
     s.inserts = inserts->value();
     s.capacity = totalCapacity;
-    for (const auto &stripe : stripes) {
-        std::lock_guard<std::mutex> lock(stripe->writerMutex);
-        s.size += stripe->liveCount;
-    }
+    s.size = size();
     return s;
 }
 
@@ -461,16 +249,8 @@ void
 PredictionCache::clear()
 {
     for (auto &stripe : stripes) {
-        std::lock_guard<std::mutex> lock(stripe->writerMutex);
-        for (size_t i = 0; i < slotsPerStripe; ++i) {
-            Entry *e = stripe->slots[i].load(std::memory_order_relaxed);
-            if (e != nullptr && e != tombstone())
-                stripe->limbo.push_back(e);
-            stripe->slots[i].store(nullptr, std::memory_order_seq_cst);
-        }
-        stripe->liveCount = 0;
-        stripe->nullCount = slotsPerStripe;
-        reclaim(*stripe);
+        std::lock_guard<std::mutex> lock(stripe->mutex);
+        stripe->lru.clear();
     }
 }
 
@@ -479,8 +259,8 @@ PredictionCache::size() const
 {
     size_t n = 0;
     for (const auto &stripe : stripes) {
-        std::lock_guard<std::mutex> lock(stripe->writerMutex);
-        n += stripe->liveCount;
+        std::lock_guard<std::mutex> lock(stripe->mutex);
+        n += stripe->lru.size();
     }
     return n;
 }

@@ -7,26 +7,17 @@
  * so memoizing per-kernel forecasts turns repeated graph predictions
  * into hash lookups.
  *
- * The read path is lock-light: each stripe is an open-addressing table
- * of atomically published, immutable entries, so a lookup takes no lock
- * at all — it registers in a per-stripe reader epoch counter, probes the
- * slots, copies the entry, and deregisters. Only writers (insert /
- * evict / clear) serialize, on a per-stripe mutex, and retired entries
- * are reclaimed only after the reader epoch drains to zero, so a reader
- * can never dereference freed memory. Because cached values are a
- * deterministic function of the key, a reader racing a writer can at
- * worst see a slightly stale value or a spurious miss (recompute) —
- * both semantically harmless — never a wrong value.
+ * Each stripe is a mutex-guarded LRU map (serve/lru.hpp, the same core
+ * the ModelGraphCache uses): a lookup or insert takes only its key's
+ * stripe lock, so threads working on different stripes never contend.
  */
 
 #ifndef NEUSIGHT_SERVE_PREDICTION_CACHE_HPP
 #define NEUSIGHT_SERVE_PREDICTION_CACHE_HPP
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -69,11 +60,11 @@ struct CacheStats
 };
 
 /**
- * Striped LRU cache from fingerprint to PredictionDetail with wait-free
- * reads. All operations are thread-safe; lookups promote the entry to
- * most-recently-used within its stripe (a timestamp bump, no lock), and
- * inserts evict the stripe's least-recently-used entry once the stripe
- * is full. Implements the core predictor's cache seam, so it plugs into
+ * Striped LRU cache from fingerprint to PredictionDetail. All
+ * operations are thread-safe; lookups promote the entry to
+ * most-recently-used within its stripe, and inserts evict the stripe's
+ * least-recently-used entry once the stripe is full. Implements the
+ * core predictor's cache seam, so it plugs into
  * core::NeuSight::attachCache directly.
  */
 class PredictionCache : public core::KernelPredictionCache
@@ -81,9 +72,9 @@ class PredictionCache : public core::KernelPredictionCache
   public:
     /**
      * @param capacity   total entry budget, split evenly across stripes.
-     * @param num_shards stripe count (write-lock granularity; reads
-     *                   never lock); 1 gives a single global LRU order
-     *                   (deterministic eviction, used by tests).
+     * @param num_shards stripe count (lock granularity); 1 gives a
+     *                   single global LRU order (deterministic
+     *                   eviction, used by tests).
      */
     explicit PredictionCache(size_t capacity, size_t num_shards = 16);
 
@@ -98,7 +89,8 @@ class PredictionCache : public core::KernelPredictionCache
 
     /**
      * Insert (or refresh) @p key. Evicts the shard's LRU entry when the
-     * shard is at capacity.
+     * shard is at capacity. A refresh counts as neither an insert nor an
+     * eviction.
      */
     void insert(const std::string &key,
                 const core::PredictionDetail &detail) override;
@@ -154,36 +146,13 @@ class PredictionCache : public core::KernelPredictionCache
     size_t capacity() const { return totalCapacity; }
 
   private:
-    /**
-     * An immutable published entry. Only lastUsed (the LRU timestamp)
-     * changes after publication, and it is atomic; key/detail/hash are
-     * frozen, which is what makes lock-free readers safe.
-     */
-    struct Entry;
-
-    /**
-     * One stripe: a power-of-two open-addressing array of atomically
-     * published Entry pointers (null = chain end, tombstone = deleted),
-     * a writer mutex serializing all mutation, a reader-epoch counter
-     * gating reclamation, and the limbo list of retired entries waiting
-     * for in-flight readers to drain.
-     */
+    /** One stripe: a mutex and the LRU map it guards. */
     struct Stripe;
 
-    Stripe &stripeFor(size_t hash) const;
-    uint64_t nextTick() const;
-    static Entry *tombstone();
-    void evictLru(Stripe &stripe);
-    void compact(Stripe &stripe);
-    void reclaim(Stripe &stripe);
+    Stripe &stripeFor(const std::string &key) const;
 
     std::vector<std::unique_ptr<Stripe>> stripes;
     size_t totalCapacity;
-    size_t stripeCapacity;
-    size_t slotsPerStripe;
-    size_t slotMask;
-    /** Global LRU clock; every touch gets a unique monotonic tick. */
-    mutable std::atomic<uint64_t> clock{1};
     /** Striped obs counters, so a MetricsRegistry can adopt the same
      *  objects stats() reads (registerMetrics). */
     std::shared_ptr<obs::Counter> hits = std::make_shared<obs::Counter>();

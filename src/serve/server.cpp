@@ -8,43 +8,6 @@
 
 namespace neusight::serve {
 
-namespace {
-
-/** Fill the bookkeeping shared by every waiter of one computation. */
-void
-finishResult(ForecastResult &result, double service_micros,
-             const std::shared_ptr<PredictionCache> &cache)
-{
-    result.serviceMicros = service_micros;
-    if (cache)
-        result.cache = cache->stats();
-}
-
-/**
- * Minimal engine for the predictor-ref constructor: the predictor is
- * the only backend (registered externally, so the engine never mutates
- * it), no engine-level kernel-prediction cache (preserving the
- * documented ServerOptions::cache semantics — counters only), and the
- * server's collective-model / graph-cache options forwarded.
- */
-std::shared_ptr<api::ForecastEngine>
-makeDirectEngine(const graph::LatencyPredictor &predictor,
-                 const ServerOptions &options)
-{
-    auto registry = std::make_shared<api::PredictorRegistry>();
-    registry->addExternal("direct", predictor);
-    api::EngineConfig config;
-    config.defaultBackend = "direct";
-    config.registry = std::move(registry);
-    config.cacheCapacity = 0;
-    config.graphCacheCapacity = options.graphCacheCapacity;
-    config.sharedGraphCache = options.graphCache;
-    config.comms = options.comms;
-    return std::make_shared<api::ForecastEngine>(std::move(config));
-}
-
-} // namespace
-
 ForecastServer::ForecastServer(std::shared_ptr<api::ForecastEngine> engine_,
                                ServerOptions options_)
     : engine(std::move(engine_)), options(std::move(options_))
@@ -67,12 +30,6 @@ ForecastServer::ForecastServer(std::shared_ptr<api::ForecastEngine> engine_,
     threads.reserve(options.workers);
     for (size_t i = 0; i < options.workers; ++i)
         threads.emplace_back([this] { workerLoop(); });
-}
-
-ForecastServer::ForecastServer(const graph::LatencyPredictor &predictor,
-                               ServerOptions options_)
-    : ForecastServer(makeDirectEngine(predictor, options_), options_)
-{
 }
 
 ForecastServer::~ForecastServer()
@@ -254,7 +211,7 @@ ForecastServer::workerLoop()
                 std::chrono::steady_clock::now() - start)
                 .count();
         executeUs->record(micros);
-        finishResult(result, micros, options.cache);
+        result.serviceMicros = micros;
 
         obs::TraceSpan respond("serve.respond", "serve", tracer);
         lock.lock();
@@ -339,10 +296,7 @@ ForecastServer::stats() const
         std::lock_guard<std::mutex> lock(mutex);
         s.queueDepth = queuedCount();
     }
-    if (options.cache)
-        s.cache = options.cache->stats();
-    else
-        s.cache = engine->cacheStats();
+    s.cache = engine->cacheStats();
     if (engine->modelGraphCache())
         s.graphCache = engine->modelGraphCache()->stats();
     return s;

@@ -27,8 +27,6 @@
 #include <vector>
 
 #include "api/engine.hpp"
-#include "dist/collective.hpp"
-#include "graph/latency_predictor.hpp"
 #include "obs/metrics.hpp"
 #include "serve/graph_cache.hpp"
 #include "serve/request.hpp"
@@ -43,33 +41,6 @@ struct ServerOptions
     /** Bound on queued (not yet executing) requests; submit() blocks
      *  when full. Coalesced requests never occupy a slot. */
     size_t queueCapacity = 256;
-    /**
-     * Shared kernel-prediction cache, reported in every result. The
-     * server does not wire it into the predictor — attach it via
-     * core::NeuSight::attachCache or wrap the predictor in a
-     * CachedPredictor; passing the same cache here only adds its
-     * counters to results and stats.
-     */
-    std::shared_ptr<PredictionCache> cache;
-    /**
-     * Collective cost model for Distributed requests; the default
-     * estimator (calibrated on A100-NVLink, Section 5.1) when unset.
-     * Honored by the predictor-ref constructor only — an explicitly
-     * passed engine already owns its collective model.
-     */
-    std::shared_ptr<const dist::CollectiveModel> comms;
-    /**
-     * Model-graph cache: single-GPU requests (inference / decode /
-     * training) reuse constructed KernelGraphs keyed on the request's
-     * (kind, model, batch, context, dtype) fingerprint — graph
-     * construction is the residual per-request cost once the kernel-
-     * prediction cache is hot. Unset, the predictor-ref constructor
-     * creates a private one of graphCacheCapacity entries; an
-     * explicitly passed engine uses its own.
-     */
-    std::shared_ptr<ModelGraphCache> graphCache;
-    /** Capacity of the private graph cache; 0 disables graph caching. */
-    size_t graphCacheCapacity = 128;
 };
 
 /** Point-in-time server counters. */
@@ -89,11 +60,9 @@ struct ServerStats
 };
 
 /**
- * Concurrent forecast server over a ForecastEngine (or, for the
- * single-predictor setups of the benches and tests, directly over any
- * LatencyPredictor — the server then builds a minimal engine around
- * it). Predictors must be safe for concurrent const use (NeuSight and
- * the simulator oracle are, once trained) and must outlive the server.
+ * Concurrent forecast server over a ForecastEngine. Backends must be
+ * safe for concurrent const use (NeuSight and the simulator oracle
+ * are, once trained).
  */
 class ForecastServer
 {
@@ -101,20 +70,10 @@ class ForecastServer
     /**
      * Serve @p engine: requests execute through engine->forecast(),
      * with per-request backend selection against the engine's
-     * registry. options.comms / graphCache are ignored (the engine
-     * owns both); options.cache still only adds counters to results
-     * and stats — pass engine->predictionCache() to report the
-     * engine's own cache.
+     * registry. Results and stats() carry the counters of the engine's
+     * kernel-prediction cache.
      */
     explicit ForecastServer(std::shared_ptr<api::ForecastEngine> engine,
-                            ServerOptions options = ServerOptions());
-
-    /**
-     * Serve a single predictor: builds an internal engine whose only
-     * backend is @p predictor (registered externally, no cache wiring
-     * — attach a cache to the predictor itself, exactly as before).
-     */
-    explicit ForecastServer(const graph::LatencyPredictor &predictor,
                             ServerOptions options = ServerOptions());
 
     /** Drains and joins (equivalent to stop()). */

@@ -204,11 +204,15 @@ matmulTN(const Matrix &a, const Matrix &b)
     // malloc per call.
     thread_local Matrix at;
     transposeInto(a, at);
+    // Read the scratch through a plain pointer taken here: inside the
+    // parallel region, `at` names each OpenMP worker's own (empty)
+    // thread-local copy.
+    const double *atraw = at.raw();
     Matrix c(m, n);
 #pragma omp parallel for schedule(static) if (m * n * k > 1 << 16)
     for (size_t i = 0; i < m; ++i) {
         double *crow = c.raw() + i * n;
-        const double *atrow = at.raw() + i * k;
+        const double *atrow = atraw + i * k;
         for (size_t p = 0; p < k; ++p) {
             const double aval = atrow[p];
             if (aval == 0.0)

@@ -397,6 +397,38 @@ TEST(CachePersistence, SnapshotPreservesRecencyOrder)
     restored.insert("new", d);
     EXPECT_FALSE(restored.lookup("recent", out));
     EXPECT_TRUE(restored.lookup("old", out));
+
+    // Several stripes: each keeps its own recency order through the
+    // round trip, so the same further inserts evict the same keys.
+    serve::PredictionCache striped(64, 4);
+    for (int i = 0; i < 64; ++i)
+        striped.insert("k" + std::to_string(i), d);
+    for (int i = 0; i < 64; i += 3)
+        striped.lookup("k" + std::to_string(i), out);
+    std::stringstream striped_snapshot;
+    striped.saveTo(striped_snapshot);
+    serve::PredictionCache striped_restored(64, 4);
+    striped_restored.loadFrom(striped_snapshot);
+    const uint64_t evicted_before = striped.stats().evictions;
+    const uint64_t restored_evicted_before =
+        striped_restored.stats().evictions;
+    for (int i = 0; i < 32; ++i) {
+        striped.insert("n" + std::to_string(i), d);
+        striped_restored.insert("n" + std::to_string(i), d);
+    }
+    EXPECT_GT(striped.stats().evictions, evicted_before);
+    EXPECT_EQ(striped_restored.stats().evictions - restored_evicted_before,
+              striped.stats().evictions - evicted_before);
+    size_t survivors = 0;
+    for (int i = 0; i < 64; ++i) {
+        const std::string key = "k" + std::to_string(i);
+        const bool kept = striped.lookup(key, out);
+        EXPECT_EQ(striped_restored.lookup(key, out), kept) << key;
+        survivors += kept ? 1 : 0;
+    }
+    // Some promoted keys outlive some unpromoted ones: order mattered.
+    EXPECT_GT(survivors, 0u);
+    EXPECT_LT(survivors, 64u);
 }
 
 TEST(CachePersistence, MalformedSnapshotLineReportsLineNumber)

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/json.hpp"
-#include "eval/oracle.hpp"
 #include "net/fault.hpp"
 #include "net/hash_ring.hpp"
 #include "net/io.hpp"
@@ -174,7 +173,10 @@ class LoopbackServer
     explicit LoopbackServer(net::SocketServerOptions options =
                                 net::SocketServerOptions(),
                             serve::ServerOptions engine_options = {})
-        : server(oracle, engine_options), sock(server, options),
+        : server(std::make_shared<api::ForecastEngine>(
+                     api::EngineConfig().backend("oracle").cache(0)),
+                 engine_options),
+          sock(server, options),
           thread([this] { sock.run(); })
     {
     }
@@ -186,7 +188,6 @@ class LoopbackServer
         server.stop();
     }
 
-    eval::SimulatorOracle oracle;
     serve::ForecastServer server;
     net::SocketServer sock;
     std::thread thread;

@@ -80,6 +80,14 @@ TEST(Cache, LruEvictionOrder)
     EXPECT_EQ(stats.evictions, 1u);
     EXPECT_EQ(stats.size, 2u);
     EXPECT_EQ(stats.inserts, 3u);
+
+    // clear() empties the cache; the counters keep accumulating.
+    cache.clear();
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_FALSE(cache.lookup("a", out));
+    cache.insert("d", d);
+    EXPECT_TRUE(cache.lookup("d", out));
+    EXPECT_EQ(cache.stats().inserts, 4u);
 }
 
 TEST(Cache, ReinsertRefreshesInsteadOfEvicting)
@@ -94,6 +102,7 @@ TEST(Cache, ReinsertRefreshesInsteadOfEvicting)
     ASSERT_TRUE(cache.lookup("a", out));
     EXPECT_DOUBLE_EQ(out.latencyMs, 2.0);
     EXPECT_EQ(cache.stats().evictions, 0u);
+    EXPECT_EQ(cache.stats().inserts, 1u);
     EXPECT_EQ(cache.size(), 1u);
 }
 
@@ -331,12 +340,26 @@ smallInferenceRequest(uint64_t batch, const std::string &tag)
     return req;
 }
 
+/** An engine whose only backend is @p predictor, with no kernel-
+ *  prediction cache: the server tests drive the predictor directly. */
+std::shared_ptr<api::ForecastEngine>
+engineOver(const graph::LatencyPredictor &predictor,
+           api::EngineConfig config = api::EngineConfig())
+{
+    auto registry = std::make_shared<api::PredictorRegistry>();
+    registry->addExternal("direct", predictor);
+    config.defaultBackend = "direct";
+    config.registry = std::move(registry);
+    config.cacheCapacity = 0;
+    return std::make_shared<api::ForecastEngine>(std::move(config));
+}
+
 TEST(Server, CoalescesIdenticalInFlightRequests)
 {
     const SlowCountingPredictor predictor(40);
     ServerOptions options;
     options.workers = 2;
-    ForecastServer server(predictor, options);
+    ForecastServer server(engineOver(predictor), options);
 
     constexpr int kClients = 12;
     std::vector<std::future<ForecastResult>> futures;
@@ -374,7 +397,7 @@ TEST(Server, DrainsEveryAcceptedRequestOnShutdown)
     const SlowCountingPredictor predictor(5);
     ServerOptions options;
     options.workers = 2;
-    ForecastServer server(predictor, options);
+    ForecastServer server(engineOver(predictor), options);
 
     constexpr int kRequests = 24;
     std::vector<std::future<ForecastResult>> futures;
@@ -404,7 +427,7 @@ TEST(Server, HighPriorityDrainsFirst)
     const SlowCountingPredictor predictor(30);
     ServerOptions options;
     options.workers = 1;
-    ForecastServer server(predictor, options);
+    ForecastServer server(engineOver(predictor), options);
 
     // Occupy the single worker so the next four requests sit queued
     // together when it makes its next dispatch decision.
@@ -445,7 +468,7 @@ TEST(Server, HighPriorityDrainsFirst)
 TEST(Server, ReportsFailuresWithoutDying)
 {
     const SlowCountingPredictor predictor(0);
-    ForecastServer server(predictor, ServerOptions{});
+    ForecastServer server(engineOver(predictor));
     ForecastRequest bad = smallInferenceRequest(1, "bad");
     bad.model = "NoSuchModel";
     const ForecastResult result = server.submit(bad).get();
@@ -466,7 +489,7 @@ TEST(Server, DistributedRequestsMatchDirectForecast)
     req.globalBatch = 8;
     req.strategy = dist::Parallelism::Tensor;
 
-    ForecastServer server(oracle, ServerOptions{});
+    ForecastServer server(engineOver(oracle));
     const ForecastResult result = server.submit(req).get();
     ASSERT_TRUE(result.ok) << result.error;
 
@@ -494,7 +517,7 @@ TEST(Server, DistributedValidationRejectsCleanly)
     req.numGpus = 3;
     req.globalBatch = 6;
     req.strategy = dist::Parallelism::Tensor;
-    ForecastServer server(oracle, ServerOptions{});
+    ForecastServer server(engineOver(oracle));
     const ForecastResult result = server.submit(req).get();
     EXPECT_FALSE(result.ok);
     EXPECT_NE(result.error.find("divisible"), std::string::npos);
@@ -581,7 +604,7 @@ TEST(Wire, StatsOpRoundTripsRegistrySnapshot)
     const SlowCountingPredictor predictor(1);
     ServerOptions options;
     options.workers = 1;
-    ForecastServer server(predictor, options);
+    ForecastServer server(engineOver(predictor), options);
     ASSERT_TRUE(server.submit(smallInferenceRequest(2, "warm")).get().ok);
     ForecastRequest stats_req;
     stats_req.kind = RequestKind::Stats;
@@ -645,7 +668,7 @@ TEST(GraphCache, GetOrBuildBuildsOncePerKey)
 TEST(Server, ModelGraphCacheServesRepeatedRequests)
 {
     const eval::SimulatorOracle oracle;
-    ForecastServer server(oracle, ServerOptions{});
+    ForecastServer server(engineOver(oracle));
     ASSERT_NE(server.modelGraphCache(), nullptr);
 
     // Two distinct requests sharing (kind, model, batch, dtype) but
@@ -672,9 +695,9 @@ TEST(Server, ModelGraphCacheServesRepeatedRequests)
 TEST(Server, GraphCacheCanBeDisabled)
 {
     const eval::SimulatorOracle oracle;
-    ServerOptions options;
-    options.graphCacheCapacity = 0;
-    ForecastServer server(oracle, options);
+    api::EngineConfig config;
+    config.graphCacheCapacity = 0;
+    ForecastServer server(engineOver(oracle, config));
     EXPECT_EQ(server.modelGraphCache(), nullptr);
     EXPECT_TRUE(server.submit(smallInferenceRequest(2, "x")).get().ok);
     EXPECT_EQ(server.stats().graphCache.hits, 0u);
@@ -718,7 +741,6 @@ TEST(Server, ServesTwoBackendsSideBySideInOneProcess)
 
     ServerOptions options;
     options.workers = 2;
-    options.cache = engine->predictionCache();
     ForecastServer server(engine, options);
 
     // Both arrive over the wire, as a client would send them.
@@ -864,7 +886,7 @@ TEST(Server, SimulateRequestsMatchDirectSimulation)
     req.hybrid.numMicroBatches = 8;
     req.hybrid.schedule = dist::PipelineSchedule::ZeroBubble;
 
-    ForecastServer server(oracle, ServerOptions{});
+    ForecastServer server(engineOver(oracle));
     const ForecastResult result = server.submit(req).get();
     ASSERT_TRUE(result.ok) << result.error;
     EXPECT_EQ(result.strategy, req.hybrid.describe());
@@ -893,7 +915,7 @@ TEST(Server, HybridRequestsMatchDirectForecast)
     req.hybrid.dpDegree = 2;
     req.hybrid.numMicroBatches = 2;
 
-    ForecastServer server(oracle, ServerOptions{});
+    ForecastServer server(engineOver(oracle));
     const ForecastResult result = server.submit(req).get();
     ASSERT_TRUE(result.ok) << result.error;
     EXPECT_EQ(result.strategy, req.hybrid.describe());
@@ -921,7 +943,7 @@ TEST(Server, StopSubmitRaceAlwaysResolvesAndNeverCorruptsDepth)
         ServerOptions options;
         options.workers = 2;
         options.queueCapacity = 4;
-        ForecastServer server(predictor, options);
+        ForecastServer server(engineOver(predictor), options);
         std::atomic<int> resolved{0};
         std::vector<std::thread> submitters;
         for (int t = 0; t < 4; ++t) {
@@ -965,7 +987,7 @@ TEST(Server, TrySubmitBackpressureAndShutdownSemantics)
     ServerOptions options;
     options.workers = 1;
     options.queueCapacity = 1;
-    ForecastServer server(predictor, options);
+    ForecastServer server(engineOver(predictor), options);
 
     std::atomic<int> done{0};
     const auto completion = [&done](ForecastResult) {

@@ -112,7 +112,6 @@ runListen(const common::ArgParser &args, const std::string &listen,
         serve::ServerOptions options;
         options.workers = workers;
         options.queueCapacity = queue;
-        options.cache = engine->predictionCache();
         local_engine = engine;
         return std::make_unique<serve::ForecastServer>(engine, options);
     };
@@ -324,7 +323,6 @@ run(int argc, const char *const *argv)
     serve::ServerOptions options;
     options.workers = static_cast<size_t>(workers);
     options.queueCapacity = static_cast<size_t>(queue);
-    options.cache = cache;
     serve::ForecastServer server(engine, options);
 
     // Periodic stderr metrics reporting: a detached-loop thread woken
