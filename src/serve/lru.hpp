@@ -46,8 +46,7 @@ class LruMap
         const auto it = index.find(key);
         if (it == index.end())
             return nullptr;
-        unlink(&*it);
-        linkNewest(&*it);
+        promote(&*it);
         return &it->second.value;
     }
 
@@ -57,11 +56,10 @@ class LruMap
         const auto [it, inserted] = index.try_emplace(key, std::move(value));
         if (!inserted) {
             it->second.value = std::move(value);
-            unlink(&*it);
+            promote(&*it);
+            return LruPut::Refreshed;
         }
         linkNewest(&*it);
-        if (!inserted)
-            return LruPut::Refreshed;
         if (index.size() <= maxEntries)
             return LruPut::Inserted;
         Slot *victim = oldest;
@@ -114,6 +112,12 @@ class LruMap
         s->second.older = newest;
         (newest ? newest->second.newer : oldest) = s;
         newest = s;
+    }
+
+    void promote(Slot *s)
+    {
+        unlink(s);
+        linkNewest(s);
     }
 
     /** Node-based: a Slot keeps its address until it is erased. */
