@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "baselines/roofline.hpp"
 #include "dist/collective.hpp"
@@ -19,6 +21,31 @@ namespace {
 
 using graph::ModelConfig;
 using graph::NodeKind;
+
+/** One Table-8 cell: single micro-batch, one strategy over every GPU. */
+DistributedResult
+table8Forecast(const graph::LatencyPredictor &predictor,
+               const CollectiveModel &comms, const ServerConfig &server,
+               const ModelConfig &model, uint64_t global_batch,
+               Parallelism strategy)
+{
+    return distributedTrainingMs(predictor, comms, server, model,
+                                 global_batch, strategy);
+}
+
+/** A micro-batched pipeline over every GPU of @p server. */
+DistributedResult
+scheduleForecast(const graph::LatencyPredictor &predictor,
+                 const CollectiveModel &comms, const ServerConfig &server,
+                 const ModelConfig &model, uint64_t global_batch,
+                 int micro_batches, PipelineSchedule schedule)
+{
+    PipelineConfig pipeline;
+    pipeline.numMicroBatches = micro_batches;
+    pipeline.schedule = schedule;
+    return pipelineTrainingMs(predictor, comms, server, model,
+                              global_batch, pipeline);
+}
 
 TEST(Collectives, SingleGpuAllReduceIsFree)
 {
@@ -613,6 +640,232 @@ TEST(PipelineSchedule, RejectsBadConfig)
                                     graph::findModel("GPT2-Large"), 4,
                                     bad),
                  "micro-batch");
+}
+
+/**
+ * Relative-error bound of the golden pins: the pinned latencies carry
+ * 17 significant digits, so 1e-12 admits only floating-point
+ * re-association, never a model change.
+ */
+constexpr double kPinRelTol = 1e-12;
+
+/** One pinned cell of paper Table 8 (oracle + SimCollectives). */
+struct Table8Cell
+{
+    const char *model;
+    uint64_t globalBatch;
+    const char *system;
+    Parallelism strategy;
+    bool oom;
+    double latencyMs;
+    double commBytes;
+};
+
+TEST(Table8, GoldenPins)
+{
+    // The 18 cells of bench_table08_distributed's ground-truth column:
+    // GPT2-Large at global batch 4 and 16 and GPT3-XL at batch 4, on
+    // 4x A100-40GB (NVLink) and 4x H100 (DGX), under data, tensor and
+    // pipeline parallelism with one micro-batch. OOM verdicts and
+    // payload bytes are exact; latencies hold to kPinRelTol.
+    const Table8Cell cells[] = {
+        {"GPT2-Large", 4, "A100-NVLink", Parallelism::Data, false, 526.35538628166569, 3096120320},
+        {"GPT2-Large", 4, "A100-NVLink", Parallelism::Tensor, false, 609.17858820696119, 3019898880},
+        {"GPT2-Large", 4, "A100-NVLink", Parallelism::Pipeline, false, 1731.5318333610192, 125829120},
+        {"GPT2-Large", 4, "H100-DGX", Parallelism::Data, false, 204.96643311616015, 3096120320},
+        {"GPT2-Large", 4, "H100-DGX", Parallelism::Tensor, false, 235.42131340414215, 3019898880},
+        {"GPT2-Large", 4, "H100-DGX", Parallelism::Pipeline, false, 612.39186422895716, 125829120},
+        {"GPT2-Large", 16, "A100-NVLink", Parallelism::Data, true, 0, 0},
+        {"GPT2-Large", 16, "A100-NVLink", Parallelism::Tensor, true, 0, 0},
+        {"GPT2-Large", 16, "A100-NVLink", Parallelism::Pipeline, true, 0, 0},
+        {"GPT2-Large", 16, "H100-DGX", Parallelism::Data, false, 617.96675417121003, 3096120320},
+        {"GPT2-Large", 16, "H100-DGX", Parallelism::Tensor, false, 777.49277569275603, 12079595520},
+        {"GPT2-Large", 16, "H100-DGX", Parallelism::Pipeline, false, 2216.2539317210981, 503316480},
+        {"GPT3-XL", 4, "A100-NVLink", Parallelism::Data, true, 0, 0},
+        {"GPT3-XL", 4, "A100-NVLink", Parallelism::Tensor, false, 1777.7027664318059, 6442450944},
+        {"GPT3-XL", 4, "A100-NVLink", Parallelism::Pipeline, false, 5272.6278500218568, 402653184},
+        {"GPT3-XL", 4, "H100-DGX", Parallelism::Data, false, 495.0068757514216, 5262893056},
+        {"GPT3-XL", 4, "H100-DGX", Parallelism::Tensor, false, 589.63836342882234, 6442450944},
+        {"GPT3-XL", 4, "H100-DGX", Parallelism::Pipeline, false, 1675.6028227603083, 402653184},
+    };
+    const eval::SimulatorOracle oracle;
+    for (const Table8Cell &c : cells) {
+        ServerConfig server;
+        server.systemName = c.system;
+        server.gpuName =
+            std::string(c.system) == "H100-DGX" ? "H100" : "A100-40GB";
+        server.numGpus = 4;
+        const SimCollectives comms(server.systemName);
+        const auto r = table8Forecast(oracle, comms, server,
+                                      graph::findModel(c.model),
+                                      c.globalBatch, c.strategy);
+        SCOPED_TRACE(std::string(c.model) + " b" +
+                     std::to_string(c.globalBatch) + " " + c.system + " " +
+                     parallelismName(c.strategy));
+        EXPECT_EQ(r.oom, c.oom);
+        EXPECT_EQ(r.commBytes, c.commBytes);
+        EXPECT_NEAR(r.latencyMs, c.latencyMs, c.latencyMs * kPinRelTol);
+    }
+}
+
+/** One pinned row of bench_ablation_schedule. */
+struct ScheduleCell
+{
+    int microBatches;
+    PipelineSchedule schedule;
+    bool oom;
+    double latencyMs;
+    double commBytes;
+};
+
+TEST(Table8, AblationScheduleGoldenPins)
+{
+    // GPipe vs 1F1B on a 4-stage pipeline of GPT2-Large over 4x V100,
+    // micro-batch size 1 (global batch = m): the 12 cells of
+    // bench_ablation_schedule, including the two GPipe OOMs.
+    const ScheduleCell cells[] = {
+        {1, PipelineSchedule::GPipe, false, 1224.1979056886612, 31457280},
+        {1, PipelineSchedule::OneFOneB, false, 1224.1979056886612, 31457280},
+        {2, PipelineSchedule::GPipe, false, 1589.9502088208026, 62914560},
+        {2, PipelineSchedule::OneFOneB, false, 1589.9502088208026, 62914560},
+        {4, PipelineSchedule::GPipe, false, 2321.4548150850851, 125829120},
+        {4, PipelineSchedule::OneFOneB, false, 2321.4548150850851, 125829120},
+        {8, PipelineSchedule::GPipe, false, 3784.4640276136506, 251658240},
+        {8, PipelineSchedule::OneFOneB, false, 3784.4640276136506, 251658240},
+        {16, PipelineSchedule::GPipe, true, 0, 0},
+        {16, PipelineSchedule::OneFOneB, false, 6710.4824526707807, 503316480},
+        {32, PipelineSchedule::GPipe, true, 0, 0},
+        {32, PipelineSchedule::OneFOneB, false, 12562.519302785044, 1006632960},
+    };
+    const eval::SimulatorOracle oracle;
+    const SimCollectives comms("V100-server");
+    ServerConfig server;
+    server.systemName = "V100-server";
+    server.gpuName = "V100";
+    server.numGpus = 4;
+    for (const ScheduleCell &c : cells) {
+        const auto r = scheduleForecast(
+            oracle, comms, server, graph::findModel("GPT2-Large"),
+            static_cast<uint64_t>(c.microBatches), c.microBatches,
+            c.schedule);
+        SCOPED_TRACE("m=" + std::to_string(c.microBatches) + " " +
+                     pipelineScheduleName(c.schedule));
+        EXPECT_EQ(r.oom, c.oom);
+        EXPECT_EQ(r.commBytes, c.commBytes);
+        EXPECT_NEAR(r.latencyMs, c.latencyMs, c.latencyMs * kPinRelTol);
+    }
+}
+
+/** Node-for-node equality: kind, label, payload and kernel metadata. */
+void
+expectSameNodes(const graph::KernelGraph &a, const graph::KernelGraph &b)
+{
+    ASSERT_EQ(a.nodes.size(), b.nodes.size());
+    for (size_t i = 0; i < a.nodes.size(); ++i) {
+        const graph::KernelNode &x = a.nodes[i];
+        const graph::KernelNode &y = b.nodes[i];
+        ASSERT_EQ(x.label, y.label) << "node " << i;
+        ASSERT_EQ(x.kind, y.kind) << x.label;
+        ASSERT_EQ(x.commBytes, y.commBytes) << x.label;
+        ASSERT_EQ(x.kernel.type, y.kernel.type) << x.label;
+        ASSERT_EQ(x.kernel.opName, y.kernel.opName) << x.label;
+        ASSERT_TRUE(x.kernel.outDims == y.kernel.outDims) << x.label;
+        ASSERT_EQ(x.kernel.reduceDim, y.kernel.reduceDim) << x.label;
+        ASSERT_EQ(x.kernel.flops, y.kernel.flops) << x.label;
+        ASSERT_EQ(x.kernel.memBytes, y.kernel.memBytes) << x.label;
+        ASSERT_EQ(x.kernel.dtype, y.kernel.dtype) << x.label;
+        ASSERT_EQ(x.kernel.usesTensorCore, y.kernel.usesTensorCore)
+            << x.label;
+    }
+}
+
+TEST(Builders, TensorDegreeOneMatchesSingleGpuGraphs)
+{
+    // At tp = 1 the tensor-parallel builder is the single-GPU builder:
+    // the full model matches buildTrainingGraph/buildInferenceGraph,
+    // and every stage of a near-even 2/3/4/5/8-way split matches the
+    // layer-range graph of the same layers.
+    const uint64_t batch = 2;
+    for (const ModelConfig &m : graph::paperWorkloads()) {
+        SCOPED_TRACE(m.name);
+        expectSameNodes(buildTensorParallelGraph(m, batch, 1, true),
+                        graph::buildTrainingGraph(m, batch));
+        expectSameNodes(buildTensorParallelGraph(m, batch, 1, false),
+                        graph::buildInferenceGraph(m, batch));
+        for (int stages : {2, 3, 4, 5, 8}) {
+            const uint64_t n = static_cast<uint64_t>(stages);
+            const uint64_t base = m.numLayers / n;
+            const uint64_t rem = m.numLayers % n;
+            for (int s = 0; s < stages; ++s) {
+                SCOPED_TRACE("stage " + std::to_string(s) + "/" +
+                             std::to_string(stages));
+                const uint64_t u = static_cast<uint64_t>(s);
+                graph::LayerRange range;
+                range.beginLayer = u * base + std::min(u, rem);
+                range.endLayer = range.beginLayer + base + (u < rem);
+                range.includeEmbedding = s == 0;
+                range.includeHead = s == stages - 1;
+                for (bool training : {true, false}) {
+                    range.training = training;
+                    expectSameNodes(
+                        buildHybridStageGraph(m, batch, 1, s, stages,
+                                              training),
+                        graph::buildLayerRangeGraph(m, batch, range));
+                }
+            }
+        }
+    }
+}
+
+/** FNV-1a over the ordered node labels (a 0xff byte ends each label). */
+uint64_t
+labelHash(const graph::KernelGraph &g)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (const auto &node : g.nodes) {
+        for (unsigned char c : node.label) {
+            h ^= c;
+            h *= 1099511628211ull;
+        }
+        h ^= 0xff;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(Builders, TensorParallelTrainingGraphPins)
+{
+    // Sharded training graphs, dense and MoE, pinned structurally: any
+    // change to the sharding, the collective placement or the node
+    // order moves at least one of these.
+    struct Pin
+    {
+        const char *model;
+        int tp;
+        uint64_t batch;
+        size_t nodes;
+        size_t allReduces;
+        double flops;
+        double commBytes;
+        uint64_t labels;
+    };
+    const Pin pins[] = {
+        {"GPT2-Large", 4, 4, 1448, 144, 6536200784742.4004, 3019898880, 0x5faa581c871cb1f4ull},
+        {"SwitchTrans", 2, 4, 1340, 96, 2427154976604.1602, 805306368, 0x1357cbd7fec88f03ull},
+    };
+    for (const Pin &p : pins) {
+        SCOPED_TRACE(p.model);
+        const auto g = buildTensorParallelGraph(graph::findModel(p.model),
+                                                p.batch, p.tp, true);
+        size_t all_reduces = 0;
+        for (const auto &node : g.nodes)
+            all_reduces += node.kind == NodeKind::AllReduce;
+        EXPECT_EQ(g.nodes.size(), p.nodes);
+        EXPECT_EQ(all_reduces, p.allReduces);
+        EXPECT_EQ(g.totalFlops(), p.flops);
+        EXPECT_EQ(g.totalCommBytes(), p.commBytes);
+        EXPECT_EQ(labelHash(g), p.labels);
+    }
 }
 
 } // namespace
