@@ -7,6 +7,8 @@
  * micro-batches amortize the fill/drain slots and (b) the memory
  * frontier — the activation stash is M micro-batches under GPipe but at
  * most S under 1F1B, so 1F1B keeps fitting where GPipe runs out of HBM.
+ * Each cell is the dist::singleAxisConfig() pipeline preset (pp = 4)
+ * priced by dist::hybridTrainingMs().
  */
 
 #include <cstdio>
@@ -41,16 +43,14 @@ main()
                    "ofob_ms", "gpipe_oom", "ofob_oom"});
 
     for (int m : {1, 2, 4, 8, 16, 32}) {
-        dist::PipelineConfig gpipe;
-        gpipe.numMicroBatches = m;
-        gpipe.schedule = dist::PipelineSchedule::GPipe;
-        dist::PipelineConfig ofob = gpipe;
-        ofob.schedule = dist::PipelineSchedule::OneFOneB;
-
-        const auto a = dist::pipelineTrainingMs(
-            oracle, comms, server, model, static_cast<uint64_t>(m), gpipe);
-        const auto b = dist::pipelineTrainingMs(
-            oracle, comms, server, model, static_cast<uint64_t>(m), ofob);
+        const auto forecast = [&](dist::PipelineSchedule schedule) {
+            return dist::hybridTrainingMs(
+                oracle, comms, server, model, static_cast<uint64_t>(m),
+                dist::singleAxisConfig(dist::Parallelism::Pipeline,
+                                       server.numGpus, m, schedule));
+        };
+        const auto a = forecast(dist::PipelineSchedule::GPipe);
+        const auto b = forecast(dist::PipelineSchedule::OneFOneB);
 
         const double bubble = 3.0 / (static_cast<double>(m) + 3.0);
         table.addRow(

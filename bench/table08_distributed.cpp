@@ -6,7 +6,8 @@
  * (batch 4), under data / tensor / pipeline parallelism with a single
  * micro-batch. Ground truth: simulator + SimCollectives; forecast:
  * NeuSight + the Section-5.1 link-utilization estimator calibrated on
- * the A100 NVLink system.
+ * the A100 NVLink system. Each strategy is a dist::singleAxisConfig()
+ * preset priced by dist::hybridTrainingMs().
  */
 
 #include <cstdio>
@@ -56,10 +57,12 @@ main()
             for (dist::Parallelism strategy :
                  {dist::Parallelism::Data, dist::Parallelism::Tensor,
                   dist::Parallelism::Pipeline}) {
-                const auto truth = dist::distributedTrainingMs(
-                    oracle, truth_comms, server, model, batch, strategy);
-                const auto guess = dist::distributedTrainingMs(
-                    neusight, estimator, server, model, batch, strategy);
+                const dist::HybridConfig preset =
+                    dist::singleAxisConfig(strategy, server.numGpus);
+                const auto truth = dist::hybridTrainingMs(
+                    oracle, truth_comms, server, model, batch, preset);
+                const auto guess = dist::hybridTrainingMs(
+                    neusight, estimator, server, model, batch, preset);
                 if (truth.oom || guess.oom) {
                     table.addRow({model_name, std::to_string(batch),
                                   server.systemName,

@@ -47,8 +47,9 @@ main()
         for (dist::Parallelism strategy :
              {dist::Parallelism::Data, dist::Parallelism::Tensor,
               dist::Parallelism::Pipeline}) {
-            const auto result = dist::distributedTrainingMs(
-                neusight, comms, server, model, global_batch, strategy);
+            const auto result = dist::hybridTrainingMs(
+                neusight, comms, server, model, global_batch,
+                dist::singleAxisConfig(strategy, server.numGpus));
             if (result.oom) {
                 table.addRow({server.systemName,
                               dist::parallelismName(strategy), "OOM"});

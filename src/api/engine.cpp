@@ -250,24 +250,18 @@ ForecastEngine::forecast(const ForecastRequest &req) const
             const graph::ModelConfig model =
                 graph::resolveModel(req.model);
             const dist::ServerConfig server = serverFromRequest(req);
+            const dist::HybridConfig preset = dist::singleAxisConfig(
+                req.strategy, req.numGpus, req.hybrid.numMicroBatches,
+                req.hybrid.schedule);
             const std::string reject = dist::validateStrategy(
-                model, server, req.globalBatch, req.strategy,
-                req.pipeline);
+                model, server, req.globalBatch, preset);
             if (!reject.empty()) {
                 result.ok = false;
                 result.error = reject;
                 break;
             }
-            dist::DistributedResult dr;
-            if (req.strategy == dist::Parallelism::Pipeline)
-                dr = dist::pipelineTrainingMs(predictor, *comms, server,
-                                              model, req.globalBatch,
-                                              req.pipeline);
-            else
-                dr = dist::distributedTrainingMs(predictor, *comms,
-                                                 server, model,
-                                                 req.globalBatch,
-                                                 req.strategy);
+            const dist::HybridResult dr = dist::hybridTrainingMs(
+                predictor, *comms, server, model, req.globalBatch, preset);
             result.latencyMs = dr.latencyMs;
             result.oom = dr.oom;
             result.commBytes = dr.commBytes;

@@ -15,17 +15,10 @@
 namespace neusight::dist {
 
 using graph::KernelGraph;
-using graph::KernelNode;
 using graph::ModelConfig;
 using graph::NodeKind;
 using gpusim::DataType;
 using gpusim::dtypeBytes;
-using gpusim::makeBmm;
-using gpusim::makeElementwise;
-using gpusim::makeLayerNorm;
-using gpusim::makeLinear;
-using gpusim::makeMemoryOp;
-using gpusim::makeSoftmax;
 
 namespace {
 
@@ -76,212 +69,6 @@ double
 optimizerStateBytes(double parameter_count)
 {
     return parameter_count * 16.0;
-}
-
-/**
- * Resident bytes per GPU of a tensor-parallel training run: block
- * parameters and most activations shard across the group; embeddings,
- * layer norms, and residual streams replicate.
- */
-double
-tensorParallelMemoryBytes(const ModelConfig &config, uint64_t batch,
-                          int tp_degree)
-{
-    const double tp = static_cast<double>(tp_degree);
-    const double replicated_params =
-        graph::embeddingParameterCount(config) +
-        graph::headParameterCount(config);
-    const double params =
-        (config.parameterCount() - replicated_params) / tp +
-        replicated_params;
-    const double h = static_cast<double>(config.hidden);
-    const double s = static_cast<double>(config.seq);
-    const double a = static_cast<double>(config.heads);
-    const double b = static_cast<double>(batch);
-    const double rows_h = b * s * h * 4.0;
-    const double attn = b * a * s * s * 4.0;
-    // Split of graph::savedActivationBytesPerLayer (14 rows_h + 3 attn):
-    // the 8 (B*S, H)-sized tensors inside the sharded attention/FFN
-    // blocks and the attention scores divide across the group; the 6
-    // tensors at layer boundaries (norms, residuals) replicate.
-    const double act_per_layer =
-        6.0 * rows_h + 8.0 * rows_h / tp + 3.0 * attn / tp;
-    return optimizerStateBytes(params) +
-           static_cast<double>(config.numLayers) * act_per_layer;
-}
-
-/** Parameters resident on one pipeline stage. */
-double
-stageParameterCount(const ModelConfig &config, int stage, int num_stages)
-{
-    const auto [begin, end] =
-        stageLayerRange(config.numLayers, stage, num_stages);
-    double total = 0.0;
-    for (uint64_t l = begin; l < end; ++l)
-        total += graph::blockParameterCount(config, l);
-    if (stage == 0)
-        total += graph::embeddingParameterCount(config);
-    if (stage == num_stages - 1)
-        total += graph::headParameterCount(config);
-    return total;
-}
-
-/** Append one tensor-parallel transformer block to @p g. */
-void
-appendTensorParallelLayer(KernelGraph &g, const ModelConfig &config,
-                          uint64_t layer, uint64_t batch, int tp_degree,
-                          DataType dtype, bool training)
-{
-    const uint64_t tp = static_cast<uint64_t>(tp_degree);
-    const uint64_t h = config.hidden;
-    const uint64_t a = config.heads / tp; // Local attention heads.
-    const uint64_t s = config.seq;
-    const uint64_t dh = config.hidden / config.heads;
-    const uint64_t rows = batch * s;
-    const uint64_t ff = config.ffWidth() / tp; // Local FFN width.
-    const double act_bytes = static_cast<double>(rows * h) *
-                             static_cast<double>(dtypeBytes(dtype));
-    const std::string base = "layer" + std::to_string(layer);
-
-    // Self-attention: QKV and scores shard by heads; the output
-    // projection reduces over the sharded width, so its result needs an
-    // all-reduce before the (replicated) residual stream.
-    g.add(makeLayerNorm(rows, h, dtype), base + ".ln1");
-    g.add(makeLinear(rows, h, 3 * h / tp, dtype), base + ".attn.qkv");
-    g.add(makeBmm(batch * a, s, s, dh, dtype), base + ".attn.qk");
-    g.add(makeElementwise("div", batch * a * s * s, 1, 1.0, dtype),
-          base + ".attn.scale");
-    g.add(makeSoftmax(batch * a * s, s, dtype), base + ".attn.softmax");
-    if (training)
-        g.add(makeElementwise("dropout", batch * a * s * s, 1, 1.0, dtype),
-              base + ".attn.dropout");
-    g.add(makeBmm(batch * a, s, dh, s, dtype), base + ".attn.pv");
-    g.add(makeLinear(rows, h / tp, h, dtype), base + ".attn.proj");
-    if (tp > 1)
-        g.nodes.push_back(KernelNode::comm(NodeKind::AllReduce, act_bytes,
-                                           base + ".attn.allreduce"));
-    if (training)
-        g.add(makeElementwise("dropout", rows * h, 1, 1.0, dtype),
-              base + ".attn.proj_dropout");
-    g.add(makeElementwise("add", rows * h, 2, 1.0, dtype),
-          base + ".attn.residual");
-
-    // Feed-forward: inner width shards; the down-projection reduces over
-    // it, so the block output all-reduces as well.
-    g.add(makeLayerNorm(rows, h, dtype), base + ".ln2");
-    if (isMoeLayer(config, layer)) {
-        const uint64_t e = config.numExperts;
-        const uint64_t rows_per_expert = std::max<uint64_t>(rows / e, 1);
-        g.add(makeLinear(rows, h, e, dtype), base + ".moe.router");
-        g.add(makeSoftmax(rows, e, dtype), base + ".moe.gate");
-        for (uint64_t x = 0; x < e; ++x) {
-            const std::string expert =
-                base + ".moe.expert" + std::to_string(x);
-            g.add(makeLinear(rows_per_expert, h, ff, dtype),
-                  expert + ".ff1");
-            g.add(makeElementwise("gelu", rows_per_expert * ff, 1, 8.0,
-                                  dtype),
-                  expert + ".act");
-            g.add(makeLinear(rows_per_expert, ff, h, dtype),
-                  expert + ".ff2");
-        }
-        g.add(makeElementwise("mul", rows * h, 2, 1.0, dtype),
-              base + ".moe.combine");
-    } else {
-        g.add(makeLinear(rows, h, ff, dtype), base + ".ff1");
-        g.add(makeElementwise("gelu", rows * ff, 1, 8.0, dtype),
-              base + ".act");
-        g.add(makeLinear(rows, ff, h, dtype), base + ".ff2");
-    }
-    if (tp > 1)
-        g.nodes.push_back(KernelNode::comm(NodeKind::AllReduce, act_bytes,
-                                           base + ".ff.allreduce"));
-    if (training)
-        g.add(makeElementwise("dropout", rows * h, 1, 1.0, dtype),
-              base + ".ff.dropout");
-    g.add(makeElementwise("add", rows * h, 2, 1.0, dtype),
-          base + ".ff.residual");
-}
-
-/**
- * TP-sharded kernel graph of layers [begin, end): the shared core of
- * buildTensorParallelGraph (full range) and buildHybridStageGraph (one
- * pipeline stage), so the pure-TP and hybrid forecasts price identical
- * graphs by construction.
- */
-KernelGraph
-buildTensorParallelRange(const ModelConfig &config, uint64_t batch,
-                         int tp_degree, uint64_t begin, uint64_t end,
-                         bool include_embedding, bool include_head,
-                         bool training, DataType dtype)
-{
-    if (tp_degree < 1)
-        fatal("buildTensorParallelRange: bad tensor-parallel degree");
-    if (batch == 0)
-        fatal("buildTensorParallelRange: batch must be positive");
-    const uint64_t tp = static_cast<uint64_t>(tp_degree);
-    // Death-tested precondition (dist_test): must abort, not throw —
-    // callers with user-supplied degrees validate before calling.
-    ensure(config.heads % tp == 0,
-           "buildTensorParallelGraph: attention heads must divide "
-           "evenly across the tensor-parallel degree (" +
-               std::to_string(config.heads) + " heads, degree " +
-               std::to_string(tp_degree) + ")");
-    if (config.ffWidth() % tp != 0 || config.hidden % tp != 0)
-        fatal("buildTensorParallelGraph: hidden and feed-forward widths "
-              "must divide evenly across the tensor-parallel degree");
-    ensure(config.hidden % config.heads == 0,
-           "buildTensorParallelGraph: hidden must divide heads for " +
-               config.name);
-
-    KernelGraph g;
-    const uint64_t h = config.hidden;
-    const uint64_t rows = batch * config.seq;
-    const double bytes = static_cast<double>(dtypeBytes(dtype));
-    const double act_bytes = static_cast<double>(rows * h) * bytes;
-
-    // Embedding prologue (replicated).
-    if (include_embedding) {
-        g.add(makeMemoryOp("embedding",
-                           static_cast<double>(rows * h) * bytes, dtype),
-              "embed.tokens");
-        g.add(makeElementwise("add", rows * h, 2, 1.0, dtype),
-              "embed.pos_add");
-    }
-
-    for (uint64_t l = begin; l < end; ++l)
-        appendTensorParallelLayer(g, config, l, batch, tp_degree, dtype,
-                                  training);
-
-    // Head epilogue (replicated).
-    if (include_head) {
-        g.add(makeLayerNorm(rows, h, dtype), "final.ln");
-        if (config.encoderOnly) {
-            g.add(makeLinear(batch, h, h, dtype), "head.pooler");
-            g.add(makeElementwise("tanh", batch * h, 1, 4.0, dtype),
-                  "head.pooler_act");
-            g.add(makeLinear(batch, h, 2, dtype), "head.classifier");
-        } else {
-            g.add(makeLinear(rows, h, config.vocab, dtype), "head.lm");
-        }
-    }
-
-    if (training) {
-        graph::appendBackwardPass(g);
-        // The backward pass mirrors each forward all-reduce with an
-        // input-gradient all-reduce (Megatron's g/f conjugates).
-        if (tp > 1)
-            for (uint64_t l = end; l-- > begin;) {
-                const std::string base = "layer" + std::to_string(l);
-                g.nodes.push_back(
-                    KernelNode::comm(NodeKind::AllReduce, act_bytes,
-                                     base + ".ff.bwd.allreduce"));
-                g.nodes.push_back(
-                    KernelNode::comm(NodeKind::AllReduce, act_bytes,
-                                     base + ".attn.bwd.allreduce"));
-            }
-    }
-    return g;
 }
 
 /**
@@ -424,35 +211,14 @@ HybridConfig::describe() const
 }
 
 KernelGraph
-buildDataParallelGraph(const ModelConfig &config, uint64_t global_batch,
-                       int num_gpus, DataType dtype)
-{
-    if (num_gpus < 1)
-        fatal("buildDataParallelGraph: need at least one GPU");
-    const uint64_t n = static_cast<uint64_t>(num_gpus);
-    if (global_batch == 0 || global_batch % n != 0)
-        fatal("buildDataParallelGraph: global batch must split evenly "
-              "across " +
-              std::to_string(num_gpus) + " GPUs");
-    KernelGraph g = graph::buildTrainingGraph(config, global_batch / n,
-                                              dtype);
-    if (num_gpus > 1)
-        g.nodes.push_back(KernelNode::comm(
-            NodeKind::AllReduce,
-            config.parameterCount() *
-                static_cast<double>(dtypeBytes(dtype)),
-            "grad.allreduce"));
-    return g;
-}
-
-KernelGraph
 buildTensorParallelGraph(const ModelConfig &config, uint64_t batch,
                          int tp_degree, bool training, DataType dtype)
 {
-    return buildTensorParallelRange(config, batch, tp_degree, 0,
-                                    config.numLayers,
-                                    /*include_embedding=*/true,
-                                    /*include_head=*/true, training, dtype);
+    return graph::buildLayerRangeGraph(
+        config, batch,
+        {0, config.numLayers, /*includeEmbedding=*/true,
+         /*includeHead=*/true, training, tp_degree},
+        dtype);
 }
 
 KernelGraph
@@ -466,82 +232,49 @@ buildHybridStageGraph(const ModelConfig &config, uint64_t micro_batch,
         fatal("buildHybridStageGraph: more stages than layers");
     const auto [begin, end] =
         stageLayerRange(config.numLayers, stage, num_stages);
-    return buildTensorParallelRange(config, micro_batch, tp_degree, begin,
-                                    end,
-                                    /*include_embedding=*/stage == 0,
-                                    /*include_head=*/stage ==
-                                        num_stages - 1,
-                                    training, dtype);
+    return graph::buildLayerRangeGraph(
+        config, micro_batch,
+        {begin, end, /*includeEmbedding=*/stage == 0,
+         /*includeHead=*/stage == num_stages - 1, training, tp_degree},
+        dtype);
 }
 
-KernelGraph
-buildPipelineStageGraph(const ModelConfig &config, uint64_t micro_batch,
-                        int stage, int num_stages, bool training,
-                        DataType dtype)
+HybridConfig
+singleAxisConfig(Parallelism strategy, int num_gpus, int num_micro_batches,
+                 PipelineSchedule schedule)
 {
-    if (num_stages < 1 || stage < 0 || stage >= num_stages)
-        fatal("buildPipelineStageGraph: bad stage index");
-    if (static_cast<uint64_t>(num_stages) > config.numLayers)
-        fatal("buildPipelineStageGraph: more stages than layers");
-    const auto [begin, end] =
-        stageLayerRange(config.numLayers, stage, num_stages);
-    graph::LayerRange range;
-    range.beginLayer = begin;
-    range.endLayer = end;
-    range.includeEmbedding = (stage == 0);
-    range.includeHead = (stage == num_stages - 1);
-    range.training = training;
-    return graph::buildLayerRangeGraph(config, micro_batch, range, dtype);
+    HybridConfig hybrid;
+    hybrid.schedule = PipelineSchedule::GPipe;
+    switch (strategy) {
+      case Parallelism::Data:
+        hybrid.dpDegree = num_gpus;
+        // One bucket holding every gradient, reduced after backward.
+        hybrid.ddp.bucketBytes = std::numeric_limits<double>::infinity();
+        hybrid.ddp.overlapEfficiency = 0.0;
+        return hybrid;
+      case Parallelism::Tensor:
+        hybrid.tpDegree = num_gpus;
+        return hybrid;
+      case Parallelism::Pipeline:
+        hybrid.ppDegree = num_gpus;
+        hybrid.numMicroBatches = num_micro_batches;
+        hybrid.schedule = schedule;
+        return hybrid;
+    }
+    panic("singleAxisConfig: bad strategy");
 }
 
 std::string
 validateStrategy(const ModelConfig &config, const ServerConfig &server,
-                 uint64_t global_batch, Parallelism strategy,
-                 const PipelineConfig &pipeline)
+                 uint64_t global_batch, const HybridConfig &preset)
 {
-    const uint64_t gpus = static_cast<uint64_t>(server.numGpus);
-    if (server.numGpus < 1)
-        return "need at least one GPU";
-    switch (strategy) {
-      case Parallelism::Data:
-        if (global_batch == 0 || global_batch % gpus != 0)
-            return "global batch " + std::to_string(global_batch) +
-                   " not divisible by " + std::to_string(server.numGpus) +
-                   " GPUs";
-        return "";
-      case Parallelism::Tensor:
-        if (config.heads % gpus != 0 || config.hidden % gpus != 0 ||
-            config.ffWidth() % gpus != 0)
-            return "model dimensions (" + std::to_string(config.heads) +
-                   " heads, " + std::to_string(config.hidden) +
-                   " hidden, " + std::to_string(config.ffWidth()) +
-                   " ff) not all divisible by " +
-                   std::to_string(server.numGpus) + " GPUs";
-        return "";
-      case Parallelism::Pipeline: {
-        if (gpus > config.numLayers)
-            return "more pipeline stages than layers (" +
-                   std::to_string(config.numLayers) + ")";
-        if (pipeline.numMicroBatches < 1)
-            return "micro-batch count must be positive";
-        if (pipeline.schedule == PipelineSchedule::Interleaved1F1B)
-            return "interleaved 1F1B is modeled by the hybrid "
-                   "forecaster only (use --pp/--sweep, or "
-                   "hybridTrainingMs)";
-        if (pipeline.schedule == PipelineSchedule::ZeroBubble)
-            return "the zero-bubble schedule is priced by the "
-                   "discrete-event simulator only (use --simulate, or "
-                   "sim::simulateHybrid)";
-        const uint64_t micro =
-            static_cast<uint64_t>(pipeline.numMicroBatches);
-        if (global_batch == 0 || global_batch % micro != 0)
-            return "global batch " + std::to_string(global_batch) +
-                   " not divisible into " + std::to_string(micro) +
-                   " micro-batches";
-        return "";
-      }
-    }
-    panic("validateStrategy: bad strategy");
+    if (preset.schedule == PipelineSchedule::Interleaved1F1B)
+        return "interleaved 1F1B is modeled by the hybrid forecaster "
+               "only (use --pp/--sweep, or hybridTrainingMs)";
+    if (preset.schedule == PipelineSchedule::ZeroBubble)
+        return "the zero-bubble schedule is priced by the discrete-event "
+               "simulator only (use --simulate, or sim::simulateHybrid)";
+    return validateHybrid(config, server, global_batch, preset);
 }
 
 double
@@ -579,9 +312,9 @@ hybridStageMemoryBytes(const ModelConfig &config, uint64_t micro_batch,
     const double b = static_cast<double>(micro_batch);
     const double rows_h = b * s * h * 4.0;
     const double attn = b * a * s * s * 4.0;
-    // TP split of graph::savedActivationBytesPerLayer — the same 6/8/3
-    // decomposition as the pure-TP screen (tensorParallelMemoryBytes):
-    // 8 block-internal tensors and the attention scores shard, the 6
+    // TP split of graph::savedActivationBytesPerLayer (14 (B*S, H)
+    // tensors + 3 score tensors, which it equals at tp = 1): 8
+    // block-internal tensors and the attention scores shard, the 6
     // layer-boundary tensors replicate. Recomputation stashes only the
     // layer-input checkpoint (plus its norm) and replays the rest.
     double act_per_layer = hybrid.recomputeActivations
@@ -595,8 +328,10 @@ hybridStageMemoryBytes(const ModelConfig &config, uint64_t micro_batch,
         optimizerStateBytes(hybridStageParameterCount(
             config, stage, hybrid.ppDegree, hybrid.tpDegree)) +
         stash * layers * act_per_layer;
-    // DDP keeps a flattened bucket plus its reduction scratch live.
-    if (hybrid.dpDegree > 1)
+    // Overlapped DDP keeps a flattened bucket plus its reduction
+    // scratch live; an unoverlapped all-reduce runs after backward, in
+    // place on the gradients the optimizer state already counts.
+    if (hybrid.dpDegree > 1 && hybrid.ddp.overlapEfficiency > 0.0)
         mem += 2.0 * hybrid.ddp.bucketBytes;
     return mem;
 }
@@ -719,7 +454,7 @@ pricedGraph(const graph::LatencyPredictor &predictor,
  * representative layer per MoE parity times the stage's layer count,
  * head epilogue — instead of building the whole stage graph: the graph
  * price is additive over nodes, appendBackwardPass mirrors each
- * forward node independently, and appendTensorParallelLayer depends on
+ * forward node independently, and the layer builder depends on
  * the layer index only through the MoE parity, so the component sum
  * prices the exact node multiset of the full stage graph at O(1) graph
  * builds per stage (equal up to floating-point re-association). The
@@ -759,16 +494,17 @@ pricedStage(const graph::LatencyPredictor &predictor,
         StagePriceMemo::Price hit;
         if (memo->lookup(ckey, hit))
             return hit;
-        KernelGraph g;
-        if (kind == 'l')
-            g = buildTensorParallelRange(config, micro, tp_used, parity,
-                                         parity + 1, false, false,
-                                         training, DataType::Fp32);
-        else
-            g = buildTensorParallelRange(config, micro, tp_used, 0, 0,
-                                         /*include_embedding=*/kind == 'e',
-                                         /*include_head=*/kind == 'h',
-                                         training, DataType::Fp32);
+        // Embedding and head components are empty layer ranges, put
+        // at the end because LayerRange reads end 0 as "all layers".
+        const uint64_t none = config.numLayers;
+        const KernelGraph g = graph::buildLayerRangeGraph(
+            config, micro,
+            kind == 'l' ? graph::LayerRange{parity, parity + 1, false, false,
+                                            training, tp_used}
+                        : graph::LayerRange{none, none,
+                                            /*includeEmbedding=*/kind == 'e',
+                                            /*includeHead=*/kind == 'h',
+                                            training, tp_used});
         const StagePriceMemo::Price price =
             pricedGraph(predictor, comms, gpu, link, tp_used, g);
         memo->insert(ckey, price);
@@ -1350,132 +1086,6 @@ bestSingleAxisEntry(const std::vector<SweepEntry> &entries)
         if (e.config.activeAxes() <= 1)
             return &e;
     return nullptr;
-}
-
-DistributedResult
-distributedTrainingMs(const graph::LatencyPredictor &predictor,
-                      const CollectiveModel &comms,
-                      const ServerConfig &server, const ModelConfig &config,
-                      uint64_t global_batch, Parallelism strategy)
-{
-    if (server.numGpus < 1)
-        fatal("distributedTrainingMs: need at least one GPU");
-    const gpusim::GpuSpec &gpu = server.resolvedGpu();
-    const double link = server.effectiveLinkGBps();
-
-    DistributedResult result;
-    switch (strategy) {
-      case Parallelism::Data: {
-        const uint64_t per_gpu =
-            global_batch / static_cast<uint64_t>(server.numGpus);
-        const KernelGraph g =
-            buildDataParallelGraph(config, global_batch, server.numGpus);
-        if (graph::modelMemoryBytes(config, per_gpu, true) >
-            gpu.memBytes()) {
-            result.oom = true;
-            return result;
-        }
-        result.latencyMs = predictor.predictGraphMs(g, gpu) +
-                           commCostMs(g, comms, server.numGpus, link);
-        result.commBytes = g.totalCommBytes();
-        return result;
-      }
-      case Parallelism::Tensor: {
-        const KernelGraph g = buildTensorParallelGraph(
-            config, global_batch, server.numGpus, true);
-        if (tensorParallelMemoryBytes(config, global_batch,
-                                      server.numGpus) > gpu.memBytes()) {
-            result.oom = true;
-            return result;
-        }
-        result.latencyMs = predictor.predictGraphMs(g, gpu) +
-                           commCostMs(g, comms, server.numGpus, link);
-        result.commBytes = g.totalCommBytes();
-        return result;
-      }
-      case Parallelism::Pipeline:
-        // The paper's Table-8 configuration: a single micro-batch.
-        return pipelineTrainingMs(predictor, comms, server, config,
-                                  global_batch, PipelineConfig{});
-    }
-    panic("distributedTrainingMs: bad strategy");
-}
-
-DistributedResult
-pipelineTrainingMs(const graph::LatencyPredictor &predictor,
-                   const CollectiveModel &comms, const ServerConfig &server,
-                   const ModelConfig &config, uint64_t global_batch,
-                   const PipelineConfig &pipeline)
-{
-    // Death-tested precondition (dist_test): must abort, not throw.
-    ensure(pipeline.numMicroBatches >= 1,
-           "pipelineTrainingMs: micro-batch count must be positive");
-    // This legacy Table-8 path models GPipe and plain 1F1B; the
-    // interleaved schedule (bubble / v, virtual-stage stash) lives in
-    // hybridTrainingMs. validateStrategy screens this for callers.
-    ensure(pipeline.schedule != PipelineSchedule::Interleaved1F1B,
-           "pipelineTrainingMs: interleaved 1F1B is modeled by the "
-           "hybrid forecaster only");
-    ensure(pipeline.schedule != PipelineSchedule::ZeroBubble,
-           "pipelineTrainingMs: the zero-bubble schedule is priced by "
-           "the discrete-event simulator only (sim::simulatePipeline)");
-    if (server.numGpus < 1)
-        fatal("pipelineTrainingMs: need at least one GPU");
-    const uint64_t m = static_cast<uint64_t>(pipeline.numMicroBatches);
-    if (global_batch == 0 || global_batch % m != 0)
-        fatal("pipelineTrainingMs: global batch must split evenly into " +
-              std::to_string(m) + " micro-batches");
-    const uint64_t micro = global_batch / m;
-    const int stages = server.numGpus;
-    const gpusim::GpuSpec &gpu = server.resolvedGpu();
-    const double link = server.effectiveLinkGBps();
-
-    DistributedResult result;
-    // The schedules differ in how many micro-batches of activations a
-    // stage holds at once: GPipe stashes all M before the first backward;
-    // non-interleaved 1F1B drains early and caps the stash at the stage
-    // count.
-    const double stash = scheduleStashMicroBatches(
-        pipeline.schedule, pipeline.numMicroBatches, stages,
-        /*virtual_stages=*/1);
-
-    double sum_ms = 0.0;
-    double max_ms = 0.0;
-    for (int s = 0; s < stages; ++s) {
-        const KernelGraph g =
-            buildPipelineStageGraph(config, micro, s, stages, true);
-        const auto [begin, end] =
-            stageLayerRange(config.numLayers, s, stages);
-        const double layers = static_cast<double>(end - begin);
-        const double mem =
-            optimizerStateBytes(stageParameterCount(config, s, stages)) +
-            stash * layers *
-                graph::savedActivationBytesPerLayer(config, micro);
-        if (mem > gpu.memBytes()) {
-            result.oom = true;
-            return result;
-        }
-        const double ms = predictor.predictGraphMs(g, gpu);
-        sum_ms += ms;
-        max_ms = std::max(max_ms, ms);
-    }
-
-    // Both schedules fill the same M + S - 1 slots: fill/drain costs one
-    // pass over every stage plus M - 1 extra turns of the slowest stage.
-    double latency = sum_ms + static_cast<double>(m - 1) * max_ms;
-
-    // Each micro-batch crosses every stage boundary once forward
-    // (activations) and once backward (their gradients).
-    const double boundary_bytes =
-        static_cast<double>(micro * config.seq * config.hidden) *
-        static_cast<double>(dtypeBytes(DataType::Fp32));
-    const double crossings = static_cast<double>(m) *
-                             static_cast<double>(stages - 1) * 2.0;
-    latency += crossings * comms.sendRecvMs(boundary_bytes, link);
-
-    result.latencyMs = latency;
-    result.commBytes = crossings * boundary_bytes;
-    return result;
 }
 
 double

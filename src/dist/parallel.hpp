@@ -1,12 +1,18 @@
 /**
  * @file
  * Distributed-training forecasting (paper Section 5.1): graph transforms
- * that turn a single-GPU kernel graph into the per-GPU graph of a data-,
- * tensor-, or pipeline-parallel execution, plus the orchestration that
- * combines a latency predictor with a collective cost model into an
- * end-to-end iteration forecast — including the out-of-memory screening
- * of the paper's tables, micro-batched pipeline schedules (GPipe and
- * 1F1B), and the multi-node hierarchy of Table 9.
+ * that turn a single-GPU kernel graph into the per-GPU graphs of a
+ * composed TP x PP x DP execution, plus the orchestration that combines
+ * a latency predictor with a collective cost model into an end-to-end
+ * iteration forecast — including the out-of-memory screening of the
+ * paper's tables, micro-batched pipeline schedules, the strategy sweep,
+ * and the multi-node hierarchy of Table 9.
+ *
+ * One forecaster prices every strategy: hybridTrainingMs(). The three
+ * single-axis strategies of paper Table 8 are presets of it
+ * (singleAxisConfig()): pure TP is tp = N, pure PP is pp = N with the
+ * requested micro-batching and schedule, and pure DP is dp = N with one
+ * unbucketed, unoverlapped gradient all-reduce after backward.
  */
 
 #ifndef NEUSIGHT_DIST_PARALLEL_HPP
@@ -98,105 +104,16 @@ enum class PipelineSchedule
 /** Display name, e.g. "GPipe". */
 const char *pipelineScheduleName(PipelineSchedule schedule);
 
-/** Micro-batching configuration for the pipeline forecaster. */
-struct PipelineConfig
-{
-    /** Micro-batches per iteration; the global batch splits across them. */
-    int numMicroBatches = 1;
-    PipelineSchedule schedule = PipelineSchedule::GPipe;
-};
-
-/** Outcome of a distributed forecast: latency, or "does not fit". */
-struct DistributedResult
-{
-    double latencyMs = 0.0;
-    bool oom = false;
-    /**
-     * Summed payload bytes of the communication operations the forecast
-     * priced: the per-GPU collectives of the DP/TP graph, or every
-     * micro-batch stage-boundary transfer of the pipeline.
-     */
-    double commBytes = 0.0;
-};
-
-/**
- * Per-GPU kernel graph of a data-parallel training iteration: the local
- * training graph at batch @p global_batch / @p num_gpus plus one gradient
- * all-reduce of every parameter (Section 5.1).
- */
-graph::KernelGraph
-buildDataParallelGraph(const graph::ModelConfig &config,
-                       uint64_t global_batch, int num_gpus,
-                       gpusim::DataType dtype = gpusim::DataType::Fp32);
-
 /**
  * Per-GPU kernel graph of a Megatron-style tensor-parallel execution at
- * degree @p tp_degree: attention heads and feed-forward width shard
- * across GPUs; embeddings, layer norms, residuals, and the head
- * replicate. Each layer all-reduces its attention and feed-forward
- * outputs in the forward pass, and the matching input gradients when
- * @p training — 2 (resp. 4) all-reduces per layer.
+ * degree @p tp_degree: the whole model through graph::buildLayerRangeGraph
+ * with LayerRange::tpDegree set (2 all-reduces per layer forward, 4 when
+ * @p training).
  */
 graph::KernelGraph
 buildTensorParallelGraph(const graph::ModelConfig &config, uint64_t batch,
                          int tp_degree, bool training,
                          gpusim::DataType dtype = gpusim::DataType::Fp32);
-
-/**
- * Kernel graph of pipeline stage @p stage of @p num_stages at micro-batch
- * size @p micro_batch: a near-even slice of the layers, with the
- * embedding prologue on the first stage and the head epilogue on the
- * last.
- */
-graph::KernelGraph
-buildPipelineStageGraph(const graph::ModelConfig &config,
-                        uint64_t micro_batch, int stage, int num_stages,
-                        bool training = true,
-                        gpusim::DataType dtype = gpusim::DataType::Fp32);
-
-/**
- * Check the structural preconditions of running @p config at
- * @p global_batch on @p server under @p strategy (batch/head/width
- * divisibility, stages vs layers, micro-batch split). Returns an empty
- * string when the combination is valid, else a human-readable reason.
- * The forecast entry points enforce the same conditions by aborting or
- * throwing; callers with user-supplied configurations should screen
- * through this first.
- */
-std::string
-validateStrategy(const graph::ModelConfig &config,
-                 const ServerConfig &server, uint64_t global_batch,
-                 Parallelism strategy,
-                 const PipelineConfig &pipeline = PipelineConfig{});
-
-/**
- * Forecast one training iteration of @p config at @p global_batch on
- * @p server under @p strategy: per-GPU kernel latency through
- * @p predictor, collective latency through @p comms, with the paper's
- * out-of-memory screening. Pipeline parallelism runs a single
- * micro-batch (the paper's Table 8 configuration); use
- * pipelineTrainingMs() for micro-batched schedules.
- */
-DistributedResult
-distributedTrainingMs(const graph::LatencyPredictor &predictor,
-                      const CollectiveModel &comms,
-                      const ServerConfig &server,
-                      const graph::ModelConfig &config,
-                      uint64_t global_batch, Parallelism strategy);
-
-/**
- * Micro-batched pipeline-parallel forecast with one stage per server
- * GPU. The global batch splits into @p pipeline.numMicroBatches
- * micro-batches filling M + S - 1 schedule slots (bubble fraction
- * (S-1)/(M+S-1)); GPipe and non-interleaved 1F1B share this latency and
- * differ in the activation stash the OOM screen charges (M vs min(M, S)
- * micro-batches).
- */
-DistributedResult
-pipelineTrainingMs(const graph::LatencyPredictor &predictor,
-                   const CollectiveModel &comms, const ServerConfig &server,
-                   const graph::ModelConfig &config, uint64_t global_batch,
-                   const PipelineConfig &pipeline);
 
 /**
  * Bucketed data-parallel gradient all-reduce (PyTorch-DDP style): the
@@ -210,7 +127,9 @@ struct DdpOverlapConfig
     /**
      * Fraction of the backward-compute window usable to hide collective
      * traffic: below 1 because the all-reduce steals link/SM bandwidth
-     * from the very kernels it hides behind.
+     * from the very kernels it hides behind. Zero means no overlap: the
+     * all-reduce runs after backward, in place on the gradients, so no
+     * bucket buffers are charged to memory.
      */
     double overlapEfficiency = 0.75;
 };
@@ -276,10 +195,33 @@ struct HybridResult
 };
 
 /**
+ * The paper's Table-8 strategies as hybrid presets: @p strategy over
+ * all @p num_gpus GPUs. Tensor is tp = N; Pipeline is pp = N with
+ * @p num_micro_batches and @p schedule; Data is dp = N with
+ * DdpOverlapConfig{bucketBytes = +inf, overlapEfficiency = 0} — one
+ * unbucketed gradient all-reduce exposed after backward, whose memory
+ * screen is graph::modelMemoryBytes() at the per-GPU batch. Only the
+ * pipeline is micro-batched: Data and Tensor ignore the last two
+ * arguments and run one micro-batch.
+ *
+ * Priced by hybridTrainingMs(), the presets give the single-axis
+ * formulas of Section 5.1: the TP graph's compute plus its
+ * all-reduces; the local training graph at batch B/N plus one
+ * all-reduce of every gradient; and the pipeline's
+ * sum + (m - 1) * max over the stage prices, evaluated as
+ * m * max + (sum - max) (equal up to one ulp).
+ */
+HybridConfig singleAxisConfig(Parallelism strategy, int num_gpus,
+                              int num_micro_batches = 1,
+                              PipelineSchedule schedule =
+                                  PipelineSchedule::GPipe);
+
+/**
  * Kernel graph of pipeline stage @p stage of @p num_stages with every
- * layer sharded at @p tp_degree: the TP transform of the stage's layer
- * range, embedding prologue on the first stage, head epilogue on the
- * last. With one stage this is exactly buildTensorParallelGraph().
+ * layer sharded at @p tp_degree: graph::buildLayerRangeGraph over the
+ * stage's near-even layer range, embedding prologue on the first stage,
+ * head epilogue on the last. With one stage this is exactly
+ * buildTensorParallelGraph().
  */
 graph::KernelGraph
 buildHybridStageGraph(const graph::ModelConfig &config,
@@ -304,8 +246,9 @@ double hybridStageParameterCount(const graph::ModelConfig &config,
  * stage's TP-sharded parameters, the schedule's activation stash
  * (GPipe: all M micro-batches; 1F1B: min(M, stages); interleaved:
  * larger than 1F1B by the virtual-stage factor, never beyond M), and
- * DDP bucket buffers. Recomputation shrinks the per-layer stash to the
- * layer-input checkpoint.
+ * two DDP bucket buffers when dp > 1 and the all-reduce overlaps
+ * backward (overlapEfficiency > 0). Recomputation shrinks the per-layer
+ * stash to the layer-input checkpoint.
  */
 double hybridStageMemoryBytes(const graph::ModelConfig &config,
                               uint64_t micro_batch, int stage,
@@ -323,6 +266,17 @@ std::string validateHybrid(const graph::ModelConfig &config,
                            const ServerConfig &server,
                            uint64_t global_batch,
                            const HybridConfig &hybrid);
+
+/**
+ * validateHybrid() for a singleAxisConfig() preset, which additionally
+ * rejects the interleaved and zero-bubble schedules: the single-axis
+ * pipeline is GPipe or plain 1F1B, and the other two are asked for
+ * through a hybrid forecast or the simulator.
+ */
+std::string validateStrategy(const graph::ModelConfig &config,
+                             const ServerConfig &server,
+                             uint64_t global_batch,
+                             const HybridConfig &preset);
 
 /**
  * Thread-safe memo of priced pipeline-stage graphs, shared across the
@@ -372,8 +326,8 @@ class StagePriceMemo
  * the pipeline bubble of the schedule, boundary send-recvs, and the DP
  * gradient all-reduce overlapped bucket-by-bucket against the last
  * micro-batch's backward pass — with the per-stage OOM screen of
- * hybridStageMemoryBytes(). Degenerate degrees recover the single-axis
- * forecasts (tp = N: buildTensorParallelGraph's latency exactly).
+ * hybridStageMemoryBytes(). The singleAxisConfig() presets price the
+ * Table-8 strategies through this same entry point.
  * With @p memo, stage-graph prices are read from (and inserted into)
  * the memo instead of re-predicted — the cross-point reuse of the
  * strategy sweep.

@@ -24,22 +24,32 @@ isMoeLayer(const ModelConfig &config, uint64_t l)
     return config.numExperts > 1 && (l % 2 == 1);
 }
 
-/** Append one transformer block (attention + FFN / MoE FFN). */
+/**
+ * Append one transformer block (attention + FFN / MoE FFN) as one rank
+ * of a Megatron-style tensor-parallel group of degree @p tp: attention
+ * heads and the feed-forward width shard, layer norms and residuals
+ * replicate. At tp > 1 the attention output projection and the FFN
+ * down-projection reduce over the sharded width, so each result is
+ * all-reduced before the residual stream. At tp = 1 this is the
+ * single-GPU block.
+ */
 void
 appendLayer(KernelGraph &g, const ModelConfig &config, uint64_t layer,
-            uint64_t batch, DataType dtype, bool training)
+            uint64_t batch, uint64_t tp, DataType dtype, bool training)
 {
     const uint64_t h = config.hidden;
-    const uint64_t a = config.heads;
+    const uint64_t a = config.heads / tp; // Local attention heads.
     const uint64_t s = config.seq;
-    const uint64_t dh = h / a;
+    const uint64_t dh = h / config.heads;
     const uint64_t rows = batch * s;
-    const uint64_t ff = config.ffWidth();
+    const uint64_t ff = config.ffWidth() / tp; // Local FFN width.
+    const double act_bytes = static_cast<double>(rows * h) *
+                             static_cast<double>(dtypeBytes(dtype));
     const std::string base = "layer" + std::to_string(layer);
 
     // Self-attention.
     g.add(makeLayerNorm(rows, h, dtype), base + ".ln1");
-    g.add(makeLinear(rows, h, 3 * h, dtype), base + ".attn.qkv");
+    g.add(makeLinear(rows, h, 3 * h / tp, dtype), base + ".attn.qkv");
     g.add(makeBmm(batch * a, s, s, dh, dtype), base + ".attn.qk");
     g.add(makeElementwise("div", batch * a * s * s, 1, 1.0, dtype),
           base + ".attn.scale");
@@ -48,7 +58,10 @@ appendLayer(KernelGraph &g, const ModelConfig &config, uint64_t layer,
         g.add(makeElementwise("dropout", batch * a * s * s, 1, 1.0, dtype),
               base + ".attn.dropout");
     g.add(makeBmm(batch * a, s, dh, s, dtype), base + ".attn.pv");
-    g.add(makeLinear(rows, h, h, dtype), base + ".attn.proj");
+    g.add(makeLinear(rows, h / tp, h, dtype), base + ".attn.proj");
+    if (tp > 1)
+        g.nodes.push_back(KernelNode::comm(NodeKind::AllReduce, act_bytes,
+                                           base + ".attn.allreduce"));
     if (training)
         g.add(makeElementwise("dropout", rows * h, 1, 1.0, dtype),
               base + ".attn.proj_dropout");
@@ -79,55 +92,14 @@ appendLayer(KernelGraph &g, const ModelConfig &config, uint64_t layer,
               base + ".act");
         g.add(makeLinear(rows, ff, h, dtype), base + ".ff2");
     }
+    if (tp > 1)
+        g.nodes.push_back(KernelNode::comm(NodeKind::AllReduce, act_bytes,
+                                           base + ".ff.allreduce"));
     if (training)
         g.add(makeElementwise("dropout", rows * h, 1, 1.0, dtype),
               base + ".ff.dropout");
     g.add(makeElementwise("add", rows * h, 2, 1.0, dtype),
           base + ".ff.residual");
-}
-
-/** Forward pass over a layer range, shared by every builder. */
-KernelGraph
-buildForward(const ModelConfig &config, uint64_t batch, DataType dtype,
-             bool training, uint64_t begin_layer, uint64_t end_layer,
-             bool with_embedding, bool with_head)
-{
-    ensure(batch > 0, "buildForward: batch must be positive");
-    ensure(config.hidden % config.heads == 0,
-           "buildForward: hidden must divide heads for " + config.name);
-    ensure(begin_layer <= end_layer && end_layer <= config.numLayers,
-           "buildForward: bad layer range");
-    KernelGraph g;
-    const uint64_t h = config.hidden;
-    const uint64_t s = config.seq;
-    const uint64_t rows = batch * s;
-    const double bytes = static_cast<double>(dtypeBytes(dtype));
-
-    if (with_embedding) {
-        g.add(makeMemoryOp("embedding",
-                           static_cast<double>(rows * h) * bytes, dtype),
-              "embed.tokens");
-        g.add(makeElementwise("add", rows * h, 2, 1.0, dtype),
-              "embed.pos_add");
-    }
-
-    for (uint64_t l = begin_layer; l < end_layer; ++l)
-        appendLayer(g, config, l, batch, dtype, training);
-
-    if (with_head) {
-        g.add(makeLayerNorm(rows, h, dtype), "final.ln");
-        if (config.encoderOnly) {
-            // BERT: pooled classification over the [CLS] position.
-            g.add(makeLinear(batch, h, h, dtype), "head.pooler");
-            g.add(makeElementwise("tanh", batch * h, 1, 4.0, dtype),
-                  "head.pooler_act");
-            g.add(makeLinear(batch, h, 2, dtype), "head.classifier");
-        } else {
-            // Decoder LM: logits for every position (first-token latency).
-            g.add(makeLinear(rows, h, config.vocab, dtype), "head.lm");
-        }
-    }
-    return g;
 }
 
 /** Backward kernels for one forward compute node, appended in place. */
@@ -298,29 +270,92 @@ findModel(const std::string &name)
 KernelGraph
 buildInferenceGraph(const ModelConfig &config, uint64_t batch, DataType dtype)
 {
-    return buildForward(config, batch, dtype, false, 0, config.numLayers,
-                        true, true);
+    return buildLayerRangeGraph(config, batch, LayerRange{}, dtype);
 }
 
 KernelGraph
 buildTrainingGraph(const ModelConfig &config, uint64_t batch, DataType dtype)
 {
-    KernelGraph g = buildForward(config, batch, dtype, true, 0,
-                                 config.numLayers, true, true);
-    appendBackwardPass(g);
-    return g;
+    LayerRange range;
+    range.training = true;
+    return buildLayerRangeGraph(config, batch, range, dtype);
 }
 
 KernelGraph
 buildLayerRangeGraph(const ModelConfig &config, uint64_t batch,
                      const LayerRange &range, DataType dtype)
 {
+    if (range.tpDegree < 1)
+        fatal("buildLayerRangeGraph: bad tensor-parallel degree");
+    const uint64_t tp = static_cast<uint64_t>(range.tpDegree);
+    ensure(batch > 0, "buildLayerRangeGraph: batch must be positive");
+    // Death-tested precondition (dist_test): must abort, not throw —
+    // callers with user-supplied degrees validate before calling. The
+    // messages are built only on failure: every graph build runs these.
+    if (config.heads % tp != 0)
+        panic("buildLayerRangeGraph: attention heads must divide evenly "
+              "across the tensor-parallel degree (" +
+              std::to_string(config.heads) + " heads, degree " +
+              std::to_string(range.tpDegree) + ")");
+    if (config.ffWidth() % tp != 0 || config.hidden % tp != 0)
+        fatal("buildLayerRangeGraph: hidden and feed-forward widths "
+              "must divide evenly across the tensor-parallel degree");
+    if (config.hidden % config.heads != 0)
+        panic("buildLayerRangeGraph: hidden must divide heads for " +
+              config.name);
+    const uint64_t begin = range.beginLayer;
     const uint64_t end = range.endLayer ? range.endLayer : config.numLayers;
-    KernelGraph g = buildForward(config, batch, dtype, range.training,
-                                 range.beginLayer, end,
-                                 range.includeEmbedding, range.includeHead);
-    if (range.training)
+    ensure(begin <= end && end <= config.numLayers,
+           "buildLayerRangeGraph: bad layer range");
+
+    KernelGraph g;
+    const uint64_t h = config.hidden;
+    const uint64_t rows = batch * config.seq;
+    const double bytes = static_cast<double>(dtypeBytes(dtype));
+
+    // Embedding and head replicate across tensor-parallel ranks.
+    if (range.includeEmbedding) {
+        g.add(makeMemoryOp("embedding",
+                           static_cast<double>(rows * h) * bytes, dtype),
+              "embed.tokens");
+        g.add(makeElementwise("add", rows * h, 2, 1.0, dtype),
+              "embed.pos_add");
+    }
+
+    for (uint64_t l = begin; l < end; ++l)
+        appendLayer(g, config, l, batch, tp, dtype, range.training);
+
+    if (range.includeHead) {
+        g.add(makeLayerNorm(rows, h, dtype), "final.ln");
+        if (config.encoderOnly) {
+            // BERT: pooled classification over the [CLS] position.
+            g.add(makeLinear(batch, h, h, dtype), "head.pooler");
+            g.add(makeElementwise("tanh", batch * h, 1, 4.0, dtype),
+                  "head.pooler_act");
+            g.add(makeLinear(batch, h, 2, dtype), "head.classifier");
+        } else {
+            // Decoder LM: logits for every position (first-token latency).
+            g.add(makeLinear(rows, h, config.vocab, dtype), "head.lm");
+        }
+    }
+
+    if (range.training) {
         appendBackwardPass(g);
+        // The backward pass mirrors each forward all-reduce with an
+        // input-gradient all-reduce (Megatron's g/f conjugates).
+        if (tp > 1) {
+            const double act_bytes = static_cast<double>(rows * h) * bytes;
+            for (uint64_t l = end; l-- > begin;) {
+                const std::string base = "layer" + std::to_string(l);
+                g.nodes.push_back(
+                    KernelNode::comm(NodeKind::AllReduce, act_bytes,
+                                     base + ".ff.bwd.allreduce"));
+                g.nodes.push_back(
+                    KernelNode::comm(NodeKind::AllReduce, act_bytes,
+                                     base + ".attn.bwd.allreduce"));
+            }
+        }
+    }
     return g;
 }
 

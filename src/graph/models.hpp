@@ -85,7 +85,12 @@ double kvCacheBytes(const ModelConfig &config, uint64_t batch,
                     uint64_t past_len,
                     gpusim::DataType dtype = gpusim::DataType::Fp32);
 
-/** Options for building a contiguous slice of a model (pipeline stages). */
+/**
+ * Options for building a contiguous slice of a model, optionally as one
+ * rank of a tensor-parallel group: the one builder behind the
+ * single-GPU graphs, pipeline stages, and the TP / hybrid stage graphs
+ * of the distributed forecaster (Section 5.1).
+ */
 struct LayerRange
 {
     uint64_t beginLayer = 0;
@@ -97,11 +102,23 @@ struct LayerRange
     bool includeHead = true;
     /** Forward+backward (training) vs forward only. */
     bool training = false;
+    /**
+     * Megatron-style tensor-parallel degree: attention heads and the
+     * feed-forward width shard @p tpDegree ways; embeddings, layer
+     * norms, residuals, and the head replicate. Above 1, each layer
+     * all-reduces its attention and feed-forward outputs in the forward
+     * pass, and the matching input gradients when training (2 resp. 4
+     * all-reduces per layer). The heads, hidden, and feed-forward
+     * widths must divide by it.
+     */
+    int tpDegree = 1;
 };
 
 /**
  * Kernel graph of layers [beginLayer, endLayer) with optional
- * embedding/head, used by the pipeline-parallel transform (Section 5.1).
+ * embedding/head, sharded at range.tpDegree. The default range is the
+ * whole model: buildInferenceGraph() and buildTrainingGraph() are this
+ * builder with LayerRange{} (resp. training = true).
  */
 KernelGraph buildLayerRangeGraph(const ModelConfig &config, uint64_t batch,
                                  const LayerRange &range,

@@ -67,8 +67,8 @@ ForecastRequest::fingerprint() const
                       numGpus,
                       static_cast<unsigned long long>(globalBatch),
                       static_cast<int>(strategy),
-                      pipeline.numMicroBatches,
-                      static_cast<int>(pipeline.schedule), linkGBps);
+                      hybrid.numMicroBatches,
+                      static_cast<int>(hybrid.schedule), linkGBps);
         key += buf;
     }
     if (kind == RequestKind::Hybrid || kind == RequestKind::Simulate) {

@@ -87,9 +87,13 @@ struct ForecastRequest
     int numGpus = 4;
     /** Global batch across the server. */
     uint64_t globalBatch = 4;
+    /** Table-8 strategy of a Distributed request. */
     dist::Parallelism strategy = dist::Parallelism::Data;
-    dist::PipelineConfig pipeline;
-    /** Composed TP x PP x DP strategy of a Hybrid request. */
+    /**
+     * Composed TP x PP x DP strategy of a Hybrid / Simulate request. A
+     * Distributed request uses only its numMicroBatches and schedule,
+     * which dist::singleAxisConfig() applies to a pipeline strategy.
+     */
     dist::HybridConfig hybrid;
     /** Peak GPU-to-GPU bandwidth GB/s; 0 = the GPU spec's value. */
     double linkGBps = 0.0;

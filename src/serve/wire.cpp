@@ -245,9 +245,9 @@ requestFromJson(const Json &json)
         req.globalBatch = positiveField(json, "global_batch", 4);
         req.strategy =
             strategyFromString(json.stringOr("strategy", "data"));
-        req.pipeline.numMicroBatches =
+        req.hybrid.numMicroBatches =
             static_cast<int>(positiveField(json, "micro_batches", 1));
-        req.pipeline.schedule =
+        req.hybrid.schedule =
             scheduleFromString(json.stringOr("schedule", "gpipe"));
         req.linkGBps = linkField(json);
     }
@@ -318,11 +318,10 @@ requestToJson(const ForecastRequest &req)
         json.set("num_gpus", req.numGpus);
         json.set("global_batch", req.globalBatch);
         json.set("strategy", strategyToString(req.strategy));
-        if (req.pipeline.numMicroBatches != 1)
-            json.set("micro_batches", req.pipeline.numMicroBatches);
-        if (req.pipeline.schedule != dist::PipelineSchedule::GPipe)
-            json.set("schedule",
-                     scheduleToString(req.pipeline.schedule));
+        if (req.hybrid.numMicroBatches != 1)
+            json.set("micro_batches", req.hybrid.numMicroBatches);
+        if (req.hybrid.schedule != dist::PipelineSchedule::GPipe)
+            json.set("schedule", scheduleToString(req.hybrid.schedule));
         if (req.linkGBps > 0.0)
             json.set("link_gbps", req.linkGBps);
     }

@@ -323,18 +323,6 @@ emitTimeline(const ScheduleProgram &program, const RunResult &run,
     }
 }
 
-/** Activation-stash micro-batches of the single-axis pipeline screen —
- *  mirrors dist's schedule stash rules for the schedules allowed here
- *  (zero-bubble retires stashes on the 1F1B cadence: ZB-H1). */
-double
-pipelineStashMicroBatches(PipelineSchedule schedule, int m, int stages)
-{
-    if (schedule == PipelineSchedule::GPipe)
-        return static_cast<double>(m);
-    return std::min(static_cast<double>(m),
-                    static_cast<double>(stages));
-}
-
 } // namespace
 
 SimResult
@@ -456,85 +444,6 @@ simulateHybrid(const graph::LatencyPredictor &predictor,
         hybrid.dpDegree > 1
             ? std::max(0.0, exec.run.makespanMs - exec.run.computeEndMs)
             : 0.0;
-    out.events = exec.run.events;
-    out.tasks = low.program.tasks.size();
-    return out;
-}
-
-SimResult
-simulatePipeline(const graph::LatencyPredictor &predictor,
-                 const dist::CollectiveModel &comms,
-                 const dist::ServerConfig &server,
-                 const graph::ModelConfig &config, uint64_t global_batch,
-                 const dist::PipelineConfig &pipeline,
-                 const SimOptions &options)
-{
-    if (server.numGpus < 1)
-        fatal("simulatePipeline: need at least one GPU");
-    if (pipeline.numMicroBatches < 1)
-        fatal("simulatePipeline: micro-batch count must be positive");
-    if (pipeline.schedule == PipelineSchedule::Interleaved1F1B)
-        fatal("simulatePipeline: interleaved 1F1B is a hybrid-path "
-              "schedule (use simulateHybrid)");
-    const uint64_t m = static_cast<uint64_t>(pipeline.numMicroBatches);
-    if (global_batch == 0 || global_batch % m != 0)
-        fatal("simulatePipeline: global batch must split evenly into " +
-              std::to_string(m) + " micro-batches");
-    const int stages = server.numGpus;
-    if (static_cast<uint64_t>(stages) > config.numLayers)
-        fatal("simulatePipeline: more pipeline stages than layers");
-    const uint64_t micro = global_batch / m;
-    const gpusim::GpuSpec &gpu = server.resolvedGpu();
-    const double link = server.effectiveLinkGBps();
-
-    SimResult out;
-    dist::HybridResult &result = out.hybrid;
-    const double stash = pipelineStashMicroBatches(
-        pipeline.schedule, pipeline.numMicroBatches, stages);
-
-    LowerSpec spec;
-    spec.numStages = stages;
-    spec.numMicro = pipeline.numMicroBatches;
-    spec.schedule = pipeline.schedule;
-    spec.trainMs.assign(stages, 0.0);
-    for (int s = 0; s < stages; ++s) {
-        const graph::KernelGraph g =
-            dist::buildPipelineStageGraph(config, micro, s, stages, true);
-        // The same memory screen as pipelineTrainingMs: optimizer
-        // state (params x 16 for fp32 AdamW) plus the schedule's
-        // activation stash.
-        const double layers =
-            static_cast<double>(config.numLayers) /
-            static_cast<double>(stages);
-        const double mem =
-            dist::hybridStageParameterCount(config, s, stages, 1) *
-                16.0 +
-            stash * layers *
-                graph::savedActivationBytesPerLayer(config, micro);
-        result.memoryBytes = std::max(result.memoryBytes, mem);
-        if (mem > gpu.memBytes()) {
-            result.oom = true;
-            return out;
-        }
-        spec.trainMs[s] = predictor.predictGraphMs(g, gpu);
-    }
-
-    const double boundary_bytes =
-        static_cast<double>(micro * config.seq * config.hidden) *
-        static_cast<double>(gpusim::dtypeBytes(gpusim::DataType::Fp32));
-    spec.boundaryMs = comms.sendRecvMs(boundary_bytes, link);
-    result.commBytes = static_cast<double>(m) *
-                       static_cast<double>(stages - 1) * 2.0 *
-                       boundary_bytes;
-
-    const Lowered low = lower(spec);
-    const ExecOutcome exec = execute(low, options);
-    if (options.emitTrace)
-        emitTimeline(low.program, exec.run, exec.durations);
-
-    result.latencyMs = exec.run.makespanMs;
-    result.bubbleMs =
-        std::max(0.0, exec.run.computeEndMs - exec.run.maxGpuBusyMs);
     out.events = exec.run.events;
     out.tasks = low.program.tasks.size();
     return out;

@@ -9,6 +9,11 @@
  * tight relative tolerance on bottleneck-last models (the golden-pin
  * parity anchor, enforced by sim_test and bench_sim_throughput).
  *
+ * The Table-8 single-axis strategies are dist::singleAxisConfig()
+ * presets, so a pure pipeline (pp = N, GPipe or 1F1B) is simulated by
+ * simulateHybrid() on its preset, with the closed form's per-stage
+ * memory screen.
+ *
  * On top of that baseline the simulator prices what no closed form
  * can:
  *  - the zero-bubble schedule (backward split into an input-gradient
@@ -97,19 +102,6 @@ simulateHybrid(const graph::LatencyPredictor &predictor,
                const dist::HybridConfig &hybrid,
                const SimOptions &options = SimOptions{},
                dist::StagePriceMemo *memo = nullptr);
-
-/**
- * Simulate the one-stage-per-GPU pipeline of dist::pipelineTrainingMs()
- * (GPipe, 1F1B, or zero-bubble; interleaving is a hybrid-path
- * concern). Throws via fatal() on invalid configurations.
- */
-SimResult
-simulatePipeline(const graph::LatencyPredictor &predictor,
-                 const dist::CollectiveModel &comms,
-                 const dist::ServerConfig &server,
-                 const graph::ModelConfig &config, uint64_t global_batch,
-                 const dist::PipelineConfig &pipeline,
-                 const SimOptions &options = SimOptions{});
 
 /**
  * The sweep's simulator arm: @p base with a pointEvaluator installed

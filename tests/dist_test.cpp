@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the distributed layer: collective cost models (ground truth
- * and estimator), the DP/TP/PP graph transforms, the GPipe schedule,
- * memory screening, and the multi-node hierarchy.
+ * and estimator), the Table-8 DP/TP/PP presets of the hybrid
+ * forecaster and their golden pins, the TP graph builder, pipeline
+ * schedules, memory screening, and the multi-node hierarchy.
  */
 
 #include <gtest/gtest.h>
@@ -23,28 +24,27 @@ using graph::ModelConfig;
 using graph::NodeKind;
 
 /** One Table-8 cell: single micro-batch, one strategy over every GPU. */
-DistributedResult
+HybridResult
 table8Forecast(const graph::LatencyPredictor &predictor,
                const CollectiveModel &comms, const ServerConfig &server,
                const ModelConfig &model, uint64_t global_batch,
                Parallelism strategy)
 {
-    return distributedTrainingMs(predictor, comms, server, model,
-                                 global_batch, strategy);
+    return hybridTrainingMs(predictor, comms, server, model, global_batch,
+                            singleAxisConfig(strategy, server.numGpus));
 }
 
 /** A micro-batched pipeline over every GPU of @p server. */
-DistributedResult
+HybridResult
 scheduleForecast(const graph::LatencyPredictor &predictor,
                  const CollectiveModel &comms, const ServerConfig &server,
                  const ModelConfig &model, uint64_t global_batch,
                  int micro_batches, PipelineSchedule schedule)
 {
-    PipelineConfig pipeline;
-    pipeline.numMicroBatches = micro_batches;
-    pipeline.schedule = schedule;
-    return pipelineTrainingMs(predictor, comms, server, model,
-                              global_batch, pipeline);
+    return hybridTrainingMs(predictor, comms, server, model, global_batch,
+                            singleAxisConfig(Parallelism::Pipeline,
+                                             server.numGpus, micro_batches,
+                                             schedule));
 }
 
 TEST(Collectives, SingleGpuAllReduceIsFree)
@@ -146,7 +146,7 @@ TEST(Parallel, ServerAcceptsHypotheticalGpuSpec)
     const SimCollectives comms("hypothetical-server");
     for (Parallelism strategy :
          {Parallelism::Data, Parallelism::Tensor, Parallelism::Pipeline}) {
-        const auto result = distributedTrainingMs(
+        const auto result = table8Forecast(
             oracle, comms, server, graph::findModel("GPT2-Large"), 4,
             strategy);
         EXPECT_FALSE(result.oom);
@@ -154,20 +154,31 @@ TEST(Parallel, ServerAcceptsHypotheticalGpuSpec)
     }
 }
 
-TEST(Parallel, DataParallelGraphHasOneGradAllReduce)
+TEST(Parallel, DataParallelPresetIsOneUnoverlappedAllReduce)
 {
+    // The DP preset prices the local training graph at batch B/N plus
+    // one all-reduce of every fp32 gradient, exposed after backward,
+    // and screens memory exactly like a single GPU at batch B/N.
+    const eval::SimulatorOracle oracle;
+    const SimCollectives comms("H100-DGX");
+    ServerConfig server;
+    server.systemName = "H100-DGX";
+    server.gpuName = "H100";
+    server.numGpus = 4;
     const ModelConfig &m = graph::findModel("GPT2-Large");
-    const auto g = buildDataParallelGraph(m, 8, 4);
-    size_t allreduce = 0;
-    for (const auto &node : g.nodes)
-        if (node.kind == NodeKind::AllReduce) {
-            ++allreduce;
-            EXPECT_DOUBLE_EQ(node.commBytes, m.parameterCount() * 4.0);
-        }
-    EXPECT_EQ(allreduce, 1u);
-    // Compute equals a local training graph at batch/width.
-    const auto local = graph::buildTrainingGraph(m, 2);
-    EXPECT_DOUBLE_EQ(g.totalFlops(), local.totalFlops());
+    const double grad_bytes = m.parameterCount() * 4.0;
+    const double all_reduce_ms =
+        comms.allReduceMs(grad_bytes, 4, server.effectiveLinkGBps());
+    const auto r = hybridTrainingMs(oracle, comms, server, m, 8,
+                                    singleAxisConfig(Parallelism::Data, 4));
+    ASSERT_FALSE(r.oom);
+    EXPECT_EQ(r.commBytes, grad_bytes);
+    EXPECT_EQ(r.latencyMs,
+              oracle.predictGraphMs(graph::buildTrainingGraph(m, 2),
+                                    server.resolvedGpu()) +
+                  all_reduce_ms);
+    EXPECT_EQ(r.exposedDdpMs, all_reduce_ms);
+    EXPECT_EQ(r.memoryBytes, graph::modelMemoryBytes(m, 2, true));
 }
 
 TEST(Parallel, TensorParallelShardsCompute)
@@ -218,9 +229,8 @@ TEST_P(DistributedStrategies, GroundTruthIsPositiveOrOom)
     server.gpuName = "H100";
     server.numGpus = 4;
     const auto result =
-        distributedTrainingMs(oracle, comms, server,
-                              graph::findModel("GPT2-Large"), 4,
-                              GetParam());
+        table8Forecast(oracle, comms, server,
+                       graph::findModel("GPT2-Large"), 4, GetParam());
     EXPECT_FALSE(result.oom);
     EXPECT_GT(result.latencyMs, 0.0);
 }
@@ -241,10 +251,10 @@ TEST(Parallel, PipelineSlowerThanDataParallelAtSmallBatch)
     server.gpuName = "H100";
     server.numGpus = 4;
     const ModelConfig &m = graph::findModel("GPT2-Large");
-    const auto dp = distributedTrainingMs(oracle, comms, server, m, 4,
-                                          Parallelism::Data);
-    const auto pp = distributedTrainingMs(oracle, comms, server, m, 4,
-                                          Parallelism::Pipeline);
+    const auto dp =
+        table8Forecast(oracle, comms, server, m, 4, Parallelism::Data);
+    const auto pp =
+        table8Forecast(oracle, comms, server, m, 4, Parallelism::Pipeline);
     EXPECT_GT(pp.latencyMs, dp.latencyMs * 1.5);
 }
 
@@ -256,7 +266,7 @@ TEST(Parallel, OomDetectedOnSmallGpu)
     server.systemName = "T4-box";
     server.gpuName = "T4"; // 16 GB.
     server.numGpus = 4;
-    const auto result = distributedTrainingMs(
+    const auto result = table8Forecast(
         oracle, comms, server, graph::findModel("GPT3-2.7B"), 16,
         Parallelism::Data);
     EXPECT_TRUE(result.oom);
@@ -276,10 +286,10 @@ TEST(Parallel, PredictionTracksGroundTruth)
     server.gpuName = "A100-40GB";
     server.numGpus = 4;
     const ModelConfig &m = graph::findModel("GPT2-Large");
-    const auto truth = distributedTrainingMs(oracle, sim_comms, server, m,
-                                             4, Parallelism::Tensor);
-    const auto guess = distributedTrainingMs(roofline, est_comms, server,
-                                             m, 4, Parallelism::Tensor);
+    const auto truth = table8Forecast(oracle, sim_comms, server, m, 4,
+                                      Parallelism::Tensor);
+    const auto guess = table8Forecast(roofline, est_comms, server, m, 4,
+                                      Parallelism::Tensor);
     ASSERT_FALSE(truth.oom);
     ASSERT_FALSE(guess.oom);
     EXPECT_GT(guess.latencyMs, truth.latencyMs * 0.2);
@@ -406,9 +416,9 @@ TEST(Hybrid, ValidateRejectsStructuralMismatches)
 
 TEST(Hybrid, PureTensorDegreeMatchesSingleAxisPath)
 {
-    // tp = N, pp = dp = 1 must price exactly the graph of the pure
-    // tensor-parallel forecast (the stage builder degenerates to
-    // buildTensorParallelGraph by construction).
+    // tp = N, pp = dp = 1 (the TP preset) prices exactly the pure
+    // tensor-parallel graph: predicted compute plus each all-reduce
+    // across the N-GPU group.
     const eval::SimulatorOracle oracle;
     const SimCollectives comms("H100-DGX");
     ServerConfig server;
@@ -416,14 +426,23 @@ TEST(Hybrid, PureTensorDegreeMatchesSingleAxisPath)
     server.gpuName = "H100";
     server.numGpus = 4;
     const ModelConfig &m = graph::findModel("GPT2-Large");
-    const auto pure = distributedTrainingMs(oracle, comms, server, m, 4,
-                                            Parallelism::Tensor);
+    const auto g = buildTensorParallelGraph(m, 4, 4, true);
+    double comm_ms = 0.0;
+    for (const auto &node : g.nodes)
+        if (node.kind == NodeKind::AllReduce)
+            comm_ms += comms.allReduceMs(node.commBytes, 4,
+                                         server.effectiveLinkGBps());
+    const auto preset = hybridTrainingMs(
+        oracle, comms, server, m, 4,
+        singleAxisConfig(Parallelism::Tensor, 4));
     HybridConfig hy;
     hy.tpDegree = 4;
     const auto hybrid = hybridTrainingMs(oracle, comms, server, m, 4, hy);
-    ASSERT_FALSE(pure.oom);
-    ASSERT_FALSE(hybrid.oom);
-    EXPECT_DOUBLE_EQ(hybrid.latencyMs, pure.latencyMs);
+    ASSERT_FALSE(preset.oom);
+    EXPECT_EQ(preset.latencyMs,
+              oracle.predictGraphMs(g, server.resolvedGpu()) + comm_ms);
+    EXPECT_EQ(preset.commBytes, g.totalCommBytes());
+    EXPECT_EQ(hybrid.latencyMs, preset.latencyMs);
 }
 
 TEST(Hybrid, InterleavingShrinksBubbleAndGrowsStash)
@@ -480,6 +499,22 @@ TEST(Hybrid, GoldenPinsTp2Pp2Dp2)
     ASSERT_FALSE(rec.oom);
     EXPECT_NEAR(plain.latencyMs, 1474.292, 1474.292 * 0.002);
     EXPECT_NEAR(rec.latencyMs, 1958.671, 1958.671 * 0.002);
+    // The overlapped all-reduce (default efficiency 0.75) keeps two
+    // bucket buffers live on every stage; only an unoverlapped one
+    // (efficiency 0, the DP preset) goes without.
+    HybridConfig no_overlap = hy;
+    no_overlap.recomputeActivations = false;
+    no_overlap.ddp.overlapEfficiency = 0.0;
+    hy.recomputeActivations = false;
+    double peak = 0.0;
+    for (int s = 0; s < hy.ppDegree; ++s) {
+        // Micro-batch size: 16 / (dp 2 x 4 micro-batches).
+        const double mem = hybridStageMemoryBytes(m, 2, s, hy);
+        peak = std::max(peak, mem);
+        EXPECT_DOUBLE_EQ(mem - hybridStageMemoryBytes(m, 2, s, no_overlap),
+                         2.0 * hy.ddp.bucketBytes);
+    }
+    EXPECT_EQ(plain.memoryBytes, peak);
     // Recomputation buys memory with latency.
     EXPECT_GT(rec.latencyMs, plain.latencyMs);
     EXPECT_LT(rec.memoryBytes, plain.memoryBytes);
@@ -507,25 +542,6 @@ TEST(Hybrid, SweepRanksRunnableStrategies)
     }
 }
 
-TEST(PipelineSchedule, SingleMicroBatchMatchesLegacyPath)
-{
-    // distributedTrainingMs(Pipeline) must be exactly the M = 1 GPipe
-    // configuration of the micro-batched forecaster.
-    const eval::SimulatorOracle oracle;
-    const SimCollectives comms("H100-DGX");
-    ServerConfig server;
-    server.systemName = "H100-DGX";
-    server.gpuName = "H100";
-    server.numGpus = 4;
-    const ModelConfig &m = graph::findModel("GPT2-Large");
-    const auto legacy = distributedTrainingMs(oracle, comms, server, m, 4,
-                                              Parallelism::Pipeline);
-    const auto micro = pipelineTrainingMs(oracle, comms, server, m, 4,
-                                          PipelineConfig{});
-    ASSERT_FALSE(legacy.oom);
-    EXPECT_DOUBLE_EQ(legacy.latencyMs, micro.latencyMs);
-}
-
 TEST(PipelineSchedule, MicroBatchingShrinksBubbleOverhead)
 {
     // With M micro-batches the bubble fraction is (S-1)/(M+S-1): more
@@ -539,12 +555,10 @@ TEST(PipelineSchedule, MicroBatchingShrinksBubbleOverhead)
     server.gpuName = "H100";
     server.numGpus = 4;
     const ModelConfig &m = graph::findModel("GPT2-Large");
-    PipelineConfig one;
-    one.numMicroBatches = 1;
-    PipelineConfig four;
-    four.numMicroBatches = 4;
-    const auto m1 = pipelineTrainingMs(oracle, comms, server, m, 16, one);
-    const auto m4 = pipelineTrainingMs(oracle, comms, server, m, 16, four);
+    const auto m1 = scheduleForecast(oracle, comms, server, m, 16, 1,
+                                     PipelineSchedule::GPipe);
+    const auto m4 = scheduleForecast(oracle, comms, server, m, 16, 4,
+                                     PipelineSchedule::GPipe);
     ASSERT_FALSE(m1.oom);
     ASSERT_FALSE(m4.oom);
     EXPECT_LT(m4.latencyMs, m1.latencyMs);
@@ -561,13 +575,10 @@ TEST(PipelineSchedule, SchedulesShareLatencyAtEqualMicroBatching)
     server.gpuName = "H100";
     server.numGpus = 4;
     const ModelConfig &m = graph::findModel("GPT2-Large");
-    PipelineConfig gpipe;
-    gpipe.numMicroBatches = 4;
-    gpipe.schedule = PipelineSchedule::GPipe;
-    PipelineConfig ofob = gpipe;
-    ofob.schedule = PipelineSchedule::OneFOneB;
-    const auto a = pipelineTrainingMs(oracle, comms, server, m, 8, gpipe);
-    const auto b = pipelineTrainingMs(oracle, comms, server, m, 8, ofob);
+    const auto a = scheduleForecast(oracle, comms, server, m, 8, 4,
+                                    PipelineSchedule::GPipe);
+    const auto b = scheduleForecast(oracle, comms, server, m, 8, 4,
+                                    PipelineSchedule::OneFOneB);
     ASSERT_FALSE(a.oom);
     ASSERT_FALSE(b.oom);
     EXPECT_DOUBLE_EQ(a.latencyMs, b.latencyMs);
@@ -586,17 +597,12 @@ TEST(PipelineSchedule, OneFOneBAdmitsConfigurationsGPipeCannot)
     const ModelConfig &m = graph::findModel("GPT2-Large");
     bool found_split = false;
     for (int micro : {2, 4, 8, 16, 32}) {
-        PipelineConfig gpipe;
-        gpipe.numMicroBatches = micro;
-        gpipe.schedule = PipelineSchedule::GPipe;
-        PipelineConfig ofob = gpipe;
-        ofob.schedule = PipelineSchedule::OneFOneB;
-        const auto a = pipelineTrainingMs(
-            oracle, comms, server, m,
-            static_cast<uint64_t>(micro), gpipe);
-        const auto b = pipelineTrainingMs(
-            oracle, comms, server, m,
-            static_cast<uint64_t>(micro), ofob);
+        const auto a = scheduleForecast(oracle, comms, server, m,
+                                        static_cast<uint64_t>(micro), micro,
+                                        PipelineSchedule::GPipe);
+        const auto b = scheduleForecast(oracle, comms, server, m,
+                                        static_cast<uint64_t>(micro), micro,
+                                        PipelineSchedule::OneFOneB);
         // 1F1B never OOMs where GPipe fits.
         if (!a.oom)
             EXPECT_FALSE(b.oom) << micro;
@@ -607,24 +613,25 @@ TEST(PipelineSchedule, OneFOneBAdmitsConfigurationsGPipeCannot)
         << "expected some micro-batch count where only 1F1B fits";
 }
 
-TEST(PipelineSchedule, LegacyPathRejectsInterleaved)
+TEST(PipelineSchedule, SingleAxisPresetRejectsInterleaved)
 {
-    // The Table-8 single-axis path models GPipe and plain 1F1B; the
-    // interleaved schedule must be screened toward the hybrid
-    // forecaster instead of silently pricing as plain 1F1B.
+    // The Table-8 single-axis pipeline models GPipe and plain 1F1B; the
+    // interleaved schedule must be screened toward a hybrid forecast
+    // instead of silently pricing as plain 1F1B. Data and tensor
+    // presets ignore the schedule.
     const ModelConfig &m = graph::findModel("GPT2-Large");
     ServerConfig server;
     server.gpuName = "H100";
     server.numGpus = 4;
-    PipelineConfig il;
-    il.numMicroBatches = 4;
-    il.schedule = PipelineSchedule::Interleaved1F1B;
-    EXPECT_NE(validateStrategy(m, server, 8, Parallelism::Pipeline, il),
+    const auto il = PipelineSchedule::Interleaved1F1B;
+    EXPECT_NE(validateStrategy(m, server, 8,
+                               singleAxisConfig(Parallelism::Pipeline, 4,
+                                                4, il)),
               "");
-    const eval::SimulatorOracle oracle;
-    const SimCollectives comms("H100-DGX");
-    EXPECT_DEATH(pipelineTrainingMs(oracle, comms, server, m, 8, il),
-                 "interleaved");
+    EXPECT_EQ(validateStrategy(m, server, 8,
+                               singleAxisConfig(Parallelism::Data, 4, 4,
+                                                il)),
+              "");
 }
 
 TEST(PipelineSchedule, RejectsBadConfig)
@@ -634,11 +641,9 @@ TEST(PipelineSchedule, RejectsBadConfig)
     ServerConfig server;
     server.gpuName = "H100";
     server.numGpus = 4;
-    PipelineConfig bad;
-    bad.numMicroBatches = 0;
-    EXPECT_DEATH(pipelineTrainingMs(oracle, comms, server,
-                                    graph::findModel("GPT2-Large"), 4,
-                                    bad),
+    EXPECT_DEATH(scheduleForecast(oracle, comms, server,
+                                  graph::findModel("GPT2-Large"), 4, 0,
+                                  PipelineSchedule::GPipe),
                  "micro-batch");
 }
 

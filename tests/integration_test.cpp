@@ -202,10 +202,12 @@ TEST_F(EndToEnd, DistributedForecastTracksGroundTruth)
         for (dist::Parallelism strategy :
              {dist::Parallelism::Data, dist::Parallelism::Tensor,
               dist::Parallelism::Pipeline}) {
-            const auto truth = dist::distributedTrainingMs(
-                oracle, sim_comms, server, model, 4, strategy);
-            const auto guess = dist::distributedTrainingMs(
-                *neusight, est_comms, server, model, 4, strategy);
+            const dist::HybridConfig preset =
+                dist::singleAxisConfig(strategy, server.numGpus);
+            const auto truth = dist::hybridTrainingMs(
+                oracle, sim_comms, server, model, 4, preset);
+            const auto guess = dist::hybridTrainingMs(
+                *neusight, est_comms, server, model, 4, preset);
             ASSERT_FALSE(truth.oom);
             ASSERT_FALSE(guess.oom);
             EXPECT_LT(std::abs(guess.latencyMs - truth.latencyMs) /

@@ -499,9 +499,10 @@ TEST(Server, DistributedRequestsMatchDirectForecast)
     dist::ServerConfig config;
     config.setGpu(req.gpu);
     config.numGpus = req.numGpus;
-    const dist::DistributedResult direct = dist::distributedTrainingMs(
+    const dist::HybridResult direct = dist::hybridTrainingMs(
         oracle, comms, config, graph::findModel(req.model),
-        req.globalBatch, req.strategy);
+        req.globalBatch,
+        dist::singleAxisConfig(req.strategy, req.numGpus));
     EXPECT_DOUBLE_EQ(result.latencyMs, direct.latencyMs);
     EXPECT_DOUBLE_EQ(result.commBytes, direct.commBytes);
     EXPECT_FALSE(result.oom);
@@ -538,8 +539,8 @@ TEST(Wire, RequestRoundTrip)
     EXPECT_EQ(req.numGpus, 4);
     EXPECT_EQ(req.globalBatch, 16u);
     EXPECT_EQ(req.strategy, dist::Parallelism::Pipeline);
-    EXPECT_EQ(req.pipeline.numMicroBatches, 4);
-    EXPECT_EQ(req.pipeline.schedule, dist::PipelineSchedule::OneFOneB);
+    EXPECT_EQ(req.hybrid.numMicroBatches, 4);
+    EXPECT_EQ(req.hybrid.schedule, dist::PipelineSchedule::OneFOneB);
     EXPECT_EQ(req.tag, "t1");
 
     // Encode → decode is identity on the request's semantics.

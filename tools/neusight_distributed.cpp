@@ -282,31 +282,28 @@ run(int argc, const char *const *argv)
     if (strategies.empty())
         fatal("--strategy must be data, tensor, pipeline, or all");
 
-    dist::PipelineConfig pipeline;
-    pipeline.numMicroBatches =
-        static_cast<int>(args.getInt("micro-batches"));
-    if (pipeline.numMicroBatches < 1)
+    const int micro_batches = static_cast<int>(args.getInt("micro-batches"));
+    if (micro_batches < 1)
         fatal("--micro-batches must be at least 1");
-    const std::string schedule = args.getString("schedule");
-    if (schedule == "gpipe")
-        pipeline.schedule = dist::PipelineSchedule::GPipe;
-    else if (schedule == "1f1b")
-        pipeline.schedule = dist::PipelineSchedule::OneFOneB;
-    else if (schedule == "interleaved")
-        pipeline.schedule = dist::PipelineSchedule::Interleaved1F1B;
-    else if (schedule == "zero-bubble")
-        pipeline.schedule = dist::PipelineSchedule::ZeroBubble;
-    else
+    const std::string schedule_name = args.getString("schedule");
+    dist::PipelineSchedule schedule = dist::PipelineSchedule::GPipe;
+    if (schedule_name == "1f1b")
+        schedule = dist::PipelineSchedule::OneFOneB;
+    else if (schedule_name == "interleaved")
+        schedule = dist::PipelineSchedule::Interleaved1F1B;
+    else if (schedule_name == "zero-bubble")
+        schedule = dist::PipelineSchedule::ZeroBubble;
+    else if (schedule_name != "gpipe")
         fatal("--schedule must be gpipe, 1f1b, interleaved, or "
               "zero-bubble");
     if (args.getFlag("zero-bubble"))
-        pipeline.schedule = dist::PipelineSchedule::ZeroBubble;
+        schedule = dist::PipelineSchedule::ZeroBubble;
     if (args.getDouble("jitter") < 0.0)
         fatal("--jitter must be non-negative");
     // Anything only the event engine can price routes to it implicitly.
     const bool simulate =
         args.getFlag("simulate") || args.getDouble("jitter") > 0.0 ||
-        pipeline.schedule == dist::PipelineSchedule::ZeroBubble;
+        schedule == dist::PipelineSchedule::ZeroBubble;
     sim::SimOptions sim_options;
     sim_options.jitterFraction = args.getDouble("jitter");
     sim_options.seed = static_cast<uint64_t>(args.getInt("seed"));
@@ -374,8 +371,8 @@ run(int argc, const char *const *argv)
                               : (degrees_given ? 1 : server.numGpus);
         hybrid.dpDegree =
             args.given("dp") ? static_cast<int>(args.getInt("dp")) : 1;
-        hybrid.numMicroBatches = pipeline.numMicroBatches;
-        hybrid.schedule = pipeline.schedule;
+        hybrid.numMicroBatches = micro_batches;
+        hybrid.schedule = schedule;
         hybrid.virtualStagesPerGpu =
             static_cast<int>(args.getInt("virtual-stages"));
         hybrid.recomputeActivations = args.getFlag("recompute");
@@ -454,12 +451,15 @@ run(int argc, const char *const *argv)
                         " (global batch " +
                         std::to_string(args.getInt("global-batch")) + ")",
                     {"strategy", "predicted (ms)", "comm GB", "note"});
-    // Pre-validate each strategy's preconditions so a bad combination
-    // reports cleanly instead of reaching the library's abort/throw
-    // paths: skip the row under --strategy all, reject an explicit ask.
+    // Each Table-8 strategy is a hybrid preset. Pre-validate it so a
+    // bad combination reports cleanly instead of reaching the library's
+    // abort path: skip the row under --strategy all, reject an explicit
+    // ask.
     for (dist::Parallelism strategy : strategies) {
-        const std::string reject = dist::validateStrategy(
-            model, server, global_batch, strategy, pipeline);
+        const dist::HybridConfig preset = dist::singleAxisConfig(
+            strategy, server.numGpus, micro_batches, schedule);
+        const std::string reject =
+            dist::validateStrategy(model, server, global_batch, preset);
         if (!reject.empty()) {
             if (choice != "all")
                 fatal(std::string(dist::parallelismName(strategy)) +
@@ -469,21 +469,13 @@ run(int argc, const char *const *argv)
             continue;
         }
 
-        dist::DistributedResult result;
+        const dist::HybridResult result = dist::hybridTrainingMs(
+            neusight, comms, server, model, global_batch, preset);
         std::string note;
-        if (strategy == dist::Parallelism::Pipeline) {
-            result = dist::pipelineTrainingMs(neusight, comms, server,
-                                              model, global_batch,
-                                              pipeline);
-            if (pipeline.numMicroBatches > 1)
-                note = std::to_string(pipeline.numMicroBatches) +
-                       " micro-batches, " +
-                       dist::pipelineScheduleName(pipeline.schedule);
-        } else {
-            result = dist::distributedTrainingMs(neusight, comms, server,
-                                                 model, global_batch,
-                                                 strategy);
-        }
+        if (preset.numMicroBatches > 1)
+            note = std::to_string(preset.numMicroBatches) +
+                   " micro-batches, " +
+                   dist::pipelineScheduleName(preset.schedule);
         table.addRow({dist::parallelismName(strategy),
                       result.oom ? "-" : TextTable::num(result.latencyMs, 1),
                       result.oom
