@@ -215,35 +215,36 @@ ForecastEngine::forecast(const ForecastRequest &req) const
             // Model resolution stays inside the build closure: on a
             // graph-cache hit the request skips it entirely, which
             // matters when req.model is a JSON path (resolveModel
-            // reads and parses the file per call).
+            // reads and parses the file per call). The graph itself
+            // lives only until it is compiled.
             const auto build = [&] {
                 const graph::ModelConfig model =
                     graph::resolveModel(req.model);
                 if (req.kind == RequestKind::Inference)
-                    return graph::buildInferenceGraph(model, req.batch,
-                                                      req.dtype);
+                    return graph::compileGraph(graph::buildInferenceGraph(
+                        model, req.batch, req.dtype));
                 if (req.kind == RequestKind::DecodeStep)
-                    return graph::buildDecodeGraph(model, req.batch,
-                                                   req.pastLen, req.dtype);
-                return graph::buildTrainingGraph(model, req.batch,
-                                                 req.dtype);
+                    return graph::compileGraph(graph::buildDecodeGraph(
+                        model, req.batch, req.pastLen, req.dtype));
+                return graph::compileGraph(graph::buildTrainingGraph(
+                    model, req.batch, req.dtype));
             };
-            // The graph is GPU-independent, so the cache key deliberately
+            // The table is GPU-independent, so the cache key deliberately
             // omits the target GPU (and the backend): requests differing
-            // only there share one built graph.
-            std::shared_ptr<const graph::KernelGraph> g;
+            // only there share one compiled graph.
+            std::shared_ptr<const graph::KernelTable> table;
             if (graphCache) {
                 const std::string key =
                     std::string(requestKindName(req.kind)) + '|' +
                     req.model + '|' + std::to_string(req.batch) + '|' +
                     std::to_string(req.pastLen) + '|' +
                     std::to_string(static_cast<int>(req.dtype));
-                g = graphCache->getOrBuild(key, build);
+                table = graphCache->getOrBuild(key, build);
             } else {
-                g = std::make_shared<const graph::KernelGraph>(build());
+                table = std::make_shared<const graph::KernelTable>(build());
             }
-            result.kernelCount = g->computeNodeCount();
-            result.latencyMs = predictor.predictGraphMs(*g, req.gpu);
+            result.kernelCount = table->slot.size();
+            result.latencyMs = predictor.predictTableMs(*table, req.gpu);
             break;
           }
           case RequestKind::Distributed: {

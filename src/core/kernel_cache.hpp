@@ -58,9 +58,10 @@ std::string cacheFingerprint(const gpusim::KernelDesc &desc,
 
 /**
  * The kernel half of cacheFingerprint: everything the key derives from
- * the descriptor, without the GPU suffix. Batched prediction dedups
- * graph nodes against a fixed GPU, so it hashes this half per node and
- * appends gpuFeatureFingerprint once per unique kernel —
+ * the descriptor, without the GPU suffix. Batched prediction
+ * (NeuSight::predictKernelsMs, serve::CachedPredictor) prices kernels
+ * against a fixed GPU, so it renders this half per kernel and appends
+ * gpuFeatureFingerprint rendered once per call —
  * kernelFingerprintPart(d, c) + gpuFeatureFingerprint(g) ==
  * cacheFingerprint(d, g, c) by construction.
  */

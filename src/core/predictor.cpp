@@ -448,6 +448,12 @@ NeuSight::predictKernelsMs(const std::vector<KernelDesc> &descs,
     return out;
 }
 
+double
+NeuSight::predictGraphMs(const graph::KernelGraph &g, const GpuSpec &gpu) const
+{
+    return predictTableMs(graph::compileGraph(g), gpu);
+}
+
 namespace {
 constexpr uint32_t kModelMagic = 0x4e534d32; // "NSM2"
 } // namespace

@@ -244,14 +244,24 @@ class NeuSight : public graph::LatencyPredictor
      * fingerprint is resolved once (attached cache first, then one
      * predictBatch call per operator family for the misses, memory
      * fallback for families without a learned predictor), and the
-     * per-descriptor latencies fan back out. The base-class
-     * predictGraphMs() routes through this, so graph forecasts pay one
-     * batched MLP pass per op family instead of one taped forward per
-     * node. Thread-safe once trained (see attachCache).
+     * per-descriptor latencies fan back out. Graph forecasts route
+     * through this, so they pay one batched MLP pass per op family
+     * instead of one taped forward per node. Thread-safe once trained
+     * (see attachCache).
      */
     std::vector<double>
     predictKernelsMs(const std::vector<gpusim::KernelDesc> &descs,
                      const gpusim::GpuSpec &gpu) const override;
+
+    /**
+     * predictTableMs(compileGraph(g), gpu): the fingerprint dedup then
+     * runs over the graph's unique kernels instead of every node. The
+     * first occurrence of each canonical fingerprint is among the
+     * unique kernels' first occurrences, in the same order, so the
+     * per-family MLP batches and every forecast are unchanged.
+     */
+    double predictGraphMs(const graph::KernelGraph &g,
+                          const gpusim::GpuSpec &gpu) const override;
 
     /**
      * Select the numeric lane of every operator-family predictor (see

@@ -395,25 +395,43 @@ validateHybrid(const ModelConfig &config, const ServerConfig &server,
     return "";
 }
 
-bool
-StagePriceMemo::lookup(const std::string &key, Price &out) const
+StagePriceMemo::Price
+StagePriceMemo::getOrPrice(const std::string &key,
+                           const std::function<Price()> &price)
 {
-    std::lock_guard<std::mutex> lock(mutex);
-    const auto it = entries.find(key);
-    if (it == entries.end()) {
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        auto it = entries.end();
+        priced.wait(lock, [&] {
+            it = entries.find(key);
+            return it == entries.end() || it->second.ready;
+        });
+        if (it != entries.end()) {
+            ++hitCount;
+            return it->second.price;
+        }
         ++missCount;
-        return false;
+        entries.emplace(key, Entry{});
     }
-    ++hitCount;
-    out = it->second;
-    return true;
-}
-
-void
-StagePriceMemo::insert(const std::string &key, const Price &price)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    entries[key] = price;
+    Price result;
+    try {
+        result = price();
+    } catch (...) {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            entries.erase(key);
+        }
+        priced.notify_all();
+        throw;
+    }
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        Entry &entry = entries.at(key);
+        entry.price = result;
+        entry.ready = true;
+    }
+    priced.notify_all();
+    return result;
 }
 
 uint64_t
@@ -428,6 +446,16 @@ StagePriceMemo::misses() const
 {
     std::lock_guard<std::mutex> lock(mutex);
     return missCount;
+}
+
+size_t
+StagePriceMemo::size() const
+{
+    std::lock_guard<std::mutex> lock(mutex);
+    size_t ready = 0;
+    for (const auto &entry : entries)
+        ready += entry.second.ready ? 1 : 0;
+    return ready;
 }
 
 namespace {
@@ -473,15 +501,10 @@ pricedStage(const graph::LatencyPredictor &predictor,
         return pricedGraph(predictor, comms, gpu, link, tp,
                            buildHybridStageGraph(config, micro, tp, stage,
                                                  num_stages, training));
-    std::string key = std::to_string(tp) + '|' +
-                      std::to_string(num_stages) + '|' +
-                      std::to_string(stage) + '|' +
-                      std::to_string(micro) + '|' + train_tag;
-    {
-        StagePriceMemo::Price hit;
-        if (memo->lookup(key, hit))
-            return hit;
-    }
+    const std::string key = std::to_string(tp) + '|' +
+                            std::to_string(num_stages) + '|' +
+                            std::to_string(stage) + '|' +
+                            std::to_string(micro) + '|' + train_tag;
 
     // One component through the memo: a tiny graph priced at most once
     // per (kind, tp, micro, training, parity).
@@ -491,62 +514,63 @@ pricedStage(const graph::LatencyPredictor &predictor,
             std::string("c|") + kind + '|' + std::to_string(tp_used) +
             '|' + std::to_string(micro) + '|' + train_tag + '|' +
             std::to_string(parity);
-        StagePriceMemo::Price hit;
-        if (memo->lookup(ckey, hit))
-            return hit;
-        // Embedding and head components are empty layer ranges, put
-        // at the end because LayerRange reads end 0 as "all layers".
-        const uint64_t none = config.numLayers;
-        const KernelGraph g = graph::buildLayerRangeGraph(
-            config, micro,
-            kind == 'l' ? graph::LayerRange{parity, parity + 1, false, false,
-                                            training, tp_used}
-                        : graph::LayerRange{none, none,
-                                            /*includeEmbedding=*/kind == 'e',
-                                            /*includeHead=*/kind == 'h',
-                                            training, tp_used});
-        const StagePriceMemo::Price price =
-            pricedGraph(predictor, comms, gpu, link, tp_used, g);
-        memo->insert(ckey, price);
-        return price;
+        return memo->getOrPrice(ckey, [&] {
+            // Embedding and head components are empty layer ranges,
+            // put at the end because LayerRange reads end 0 as "all
+            // layers".
+            const uint64_t none = config.numLayers;
+            const KernelGraph g = graph::buildLayerRangeGraph(
+                config, micro,
+                kind == 'l'
+                    ? graph::LayerRange{parity, parity + 1, false, false,
+                                        training, tp_used}
+                    : graph::LayerRange{none, none,
+                                        /*includeEmbedding=*/kind == 'e',
+                                        /*includeHead=*/kind == 'h',
+                                        training, tp_used});
+            return pricedGraph(predictor, comms, gpu, link, tp_used, g);
+        });
     };
 
-    const auto [begin, end] =
-        stageLayerRange(config.numLayers, stage, num_stages);
-    StagePriceMemo::Price price;
-    // Layers, one representative build per MoE parity (plain models
-    // collapse to a single component).
-    uint64_t plain_layers = 0;
-    uint64_t moe_layers = 0;
-    for (uint64_t l = begin; l < end; ++l)
-        (isMoeLayer(config, l) ? moe_layers : plain_layers) += 1;
-    if (plain_layers > 0) {
-        const StagePriceMemo::Price layer = component('l', tp, 0);
-        price.totalMs += static_cast<double>(plain_layers) * layer.totalMs;
-        price.commBytes +=
-            static_cast<double>(plain_layers) * layer.commBytes;
-    }
-    if (moe_layers > 0) {
-        const StagePriceMemo::Price layer = component('l', tp, 1);
-        price.totalMs += static_cast<double>(moe_layers) * layer.totalMs;
-        price.commBytes +=
-            static_cast<double>(moe_layers) * layer.commBytes;
-    }
-    // Embedding and head replicate across TP ranks (their graphs hold
-    // no sharded kernels and no collectives), so they are priced at
-    // tp = 1 and shared across every tensor degree.
-    if (stage == 0) {
-        const StagePriceMemo::Price embed = component('e', 1, 0);
-        price.totalMs += embed.totalMs;
-        price.commBytes += embed.commBytes;
-    }
-    if (stage == num_stages - 1) {
-        const StagePriceMemo::Price head = component('h', 1, 0);
-        price.totalMs += head.totalMs;
-        price.commBytes += head.commBytes;
-    }
-    memo->insert(key, price);
-    return price;
+    return memo->getOrPrice(key, [&] {
+        const auto [begin, end] =
+            stageLayerRange(config.numLayers, stage, num_stages);
+        StagePriceMemo::Price price;
+        // Layers, one representative build per MoE parity (plain models
+        // collapse to a single component).
+        uint64_t plain_layers = 0;
+        uint64_t moe_layers = 0;
+        for (uint64_t l = begin; l < end; ++l)
+            (isMoeLayer(config, l) ? moe_layers : plain_layers) += 1;
+        if (plain_layers > 0) {
+            const StagePriceMemo::Price layer = component('l', tp, 0);
+            price.totalMs +=
+                static_cast<double>(plain_layers) * layer.totalMs;
+            price.commBytes +=
+                static_cast<double>(plain_layers) * layer.commBytes;
+        }
+        if (moe_layers > 0) {
+            const StagePriceMemo::Price layer = component('l', tp, 1);
+            price.totalMs +=
+                static_cast<double>(moe_layers) * layer.totalMs;
+            price.commBytes +=
+                static_cast<double>(moe_layers) * layer.commBytes;
+        }
+        // Embedding and head replicate across TP ranks (their graphs
+        // hold no sharded kernels and no collectives), so they are
+        // priced at tp = 1 and shared across every tensor degree.
+        if (stage == 0) {
+            const StagePriceMemo::Price embed = component('e', 1, 0);
+            price.totalMs += embed.totalMs;
+            price.commBytes += embed.commBytes;
+        }
+        if (stage == num_stages - 1) {
+            const StagePriceMemo::Price head = component('h', 1, 0);
+            price.totalMs += head.totalMs;
+            price.commBytes += head.commBytes;
+        }
+        return price;
+    });
 }
 
 /**

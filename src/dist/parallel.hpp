@@ -18,6 +18,7 @@
 #ifndef NEUSIGHT_DIST_PARALLEL_HPP
 #define NEUSIGHT_DIST_PARALLEL_HPP
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -300,23 +301,40 @@ class StagePriceMemo
         double commBytes = 0.0;
     };
 
-    /** Find @p key; on a hit copy the entry to @p out, return true. */
-    bool lookup(const std::string &key, Price &out) const;
+    /**
+     * The price of @p key: the memoized one, or the result of
+     * @p price() run by the first caller to miss. The memo is
+     * single-flight: a caller that finds @p key being priced by
+     * another thread waits for that result instead of pricing it
+     * again, so each key is priced once. If @p price throws, the key
+     * is released (a waiter then prices it) and the exception
+     * propagates.
+     */
+    Price getOrPrice(const std::string &key,
+                     const std::function<Price()> &price);
 
-    /** Insert (or refresh) @p key. */
-    void insert(const std::string &key, const Price &price);
-
-    /** Lookups served from the memo. */
+    /** Lookups served from the memo, including those that waited. */
     uint64_t hits() const;
 
     /** Lookups that had to price a graph. */
     uint64_t misses() const;
 
+    /** Keys priced and stored. */
+    size_t size() const;
+
   private:
+    struct Entry
+    {
+        Price price;
+        /** False while the claiming thread is still pricing. */
+        bool ready = false;
+    };
+
     mutable std::mutex mutex;
-    std::unordered_map<std::string, Price> entries;
-    mutable uint64_t hitCount = 0;
-    mutable uint64_t missCount = 0;
+    std::condition_variable priced;
+    std::unordered_map<std::string, Entry> entries;
+    uint64_t hitCount = 0;
+    uint64_t missCount = 0;
 };
 
 /**

@@ -2,12 +2,16 @@
  * @file
  * Abstract latency-predictor interface implemented by NeuSight and by
  * every baseline (roofline analysis, Habitat, Li et al.), so the
- * evaluation harness and benches can sweep them uniformly.
+ * evaluation harness and benches can sweep them uniformly. Also the
+ * compiled form of a kernel graph (KernelTable) that forecasts price:
+ * a transformer graph repeats a dozen or so distinct kernels across
+ * hundreds of nodes, so a graph is priced once per unique kernel.
  */
 
 #ifndef NEUSIGHT_GRAPH_LATENCY_PREDICTOR_HPP
 #define NEUSIGHT_GRAPH_LATENCY_PREDICTOR_HPP
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -15,6 +19,28 @@
 #include "gpusim/gpu_spec.hpp"
 
 namespace neusight::graph {
+
+/**
+ * A kernel graph compiled for forecasting: its unique compute kernels
+ * in first-occurrence order, and for each compute node (in node order)
+ * the index of its kernel in that list. GPU-independent, like the
+ * graph it came from.
+ */
+struct KernelTable
+{
+    /** Unique compute kernels, in first-occurrence order. */
+    std::vector<gpusim::KernelDesc> kernels;
+    /** Per compute node, in node order: index into kernels. */
+    std::vector<uint32_t> slot;
+};
+
+/**
+ * Compile @p g. Two compute nodes share a slot only when every
+ * KernelDesc field is equal, doubles bit for bit (so 0.0 and -0.0
+ * differ) and the op name byte for byte, so any deterministic
+ * predictor gives them equal forecasts.
+ */
+KernelTable compileGraph(const KernelGraph &g);
 
 /** Predicts DNN kernel / model latency on a (possibly unseen) GPU. */
 class LatencyPredictor
@@ -44,10 +70,19 @@ class LatencyPredictor
     /**
      * Per-GPU latency of a kernel graph: kernels execute sequentially on
      * the device (Section 5), so the default sums the compute nodes'
-     * predictKernelsMs latencies.
+     * predictKernelsMs latencies, one call over every compute node.
+     * Caching backends override it as predictTableMs(compileGraph(g)).
      */
     virtual double predictGraphMs(const KernelGraph &g,
                                   const gpusim::GpuSpec &gpu) const;
+
+    /**
+     * Latency of a compiled graph: one predictKernelsMs call over the
+     * unique kernels, then the node-order sum of their latencies — bit
+     * for bit the sum predictGraphMs forms over the graph itself.
+     */
+    double predictTableMs(const KernelTable &table,
+                          const gpusim::GpuSpec &gpu) const;
 };
 
 } // namespace neusight::graph

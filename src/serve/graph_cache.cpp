@@ -11,7 +11,7 @@ ModelGraphCache::ModelGraphCache(size_t capacity) : lru(capacity)
     ensure(capacity >= 1, "ModelGraphCache: capacity must be at least 1");
 }
 
-std::shared_ptr<const graph::KernelGraph>
+std::shared_ptr<const graph::KernelTable>
 ModelGraphCache::lookup(const std::string &key)
 {
     std::lock_guard<std::mutex> lock(mutex);
@@ -26,22 +26,22 @@ ModelGraphCache::lookup(const std::string &key)
 
 void
 ModelGraphCache::insert(const std::string &key,
-                        std::shared_ptr<const graph::KernelGraph> graph)
+                        std::shared_ptr<const graph::KernelTable> table)
 {
     std::lock_guard<std::mutex> lock(mutex);
     insertCount->inc();
-    if (lru.put(key, std::move(graph)) == LruPut::Evicted)
+    if (lru.put(key, std::move(table)) == LruPut::Evicted)
         evictionCount->inc();
 }
 
-std::shared_ptr<const graph::KernelGraph>
+std::shared_ptr<const graph::KernelTable>
 ModelGraphCache::getOrBuild(
     const std::string &key,
-    const std::function<graph::KernelGraph()> &build)
+    const std::function<graph::KernelTable()> &build)
 {
     if (auto hit = lookup(key))
         return hit;
-    auto built = std::make_shared<const graph::KernelGraph>(build());
+    auto built = std::make_shared<const graph::KernelTable>(build());
     insert(key, built);
     return built;
 }

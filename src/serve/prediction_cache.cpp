@@ -306,11 +306,31 @@ double
 CachedPredictor::predictKernelMs(const KernelDesc &desc,
                                  const GpuSpec &gpu) const
 {
+    return cachedMs(desc, gpu, core::gpuFeatureFingerprint(gpu));
+}
+
+std::vector<double>
+CachedPredictor::predictKernelsMs(const std::vector<KernelDesc> &descs,
+                                  const GpuSpec &gpu) const
+{
+    const std::string gpu_part = core::gpuFeatureFingerprint(gpu);
+    std::vector<double> out;
+    out.reserve(descs.size());
+    for (const KernelDesc &desc : descs)
+        out.push_back(cachedMs(desc, gpu, gpu_part));
+    return out;
+}
+
+double
+CachedPredictor::cachedMs(const KernelDesc &desc, const GpuSpec &gpu,
+                          const std::string &gpu_part) const
+{
     // Raw op name: the inner predictor may tell kernels apart that the
     // NeuSight canonicalization deliberately merges (the simulator's
     // ground truth does, via its per-kernel-name behaviour).
-    const std::string key =
-        prefix + cacheFingerprint(desc, gpu, /*canonical_op=*/false);
+    std::string key = prefix;
+    key += core::kernelFingerprintPart(desc, /*canonical_op=*/false);
+    key += gpu_part;
     PredictionDetail detail;
     if (cachePtr->lookup(key, detail))
         return detail.latencyMs;
@@ -318,6 +338,13 @@ CachedPredictor::predictKernelMs(const KernelDesc &desc,
     detail.latencyMs = inner.predictKernelMs(desc, gpu);
     cachePtr->insert(key, detail);
     return detail.latencyMs;
+}
+
+double
+CachedPredictor::predictGraphMs(const graph::KernelGraph &g,
+                                const GpuSpec &gpu) const
+{
+    return predictTableMs(graph::compileGraph(g), gpu);
 }
 
 } // namespace neusight::serve

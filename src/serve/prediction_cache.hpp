@@ -195,6 +195,8 @@ class ScopedKernelCache : public core::KernelPredictionCache
  * served from (and inserted into) a shared PredictionCache. Used to give
  * the non-NeuSight serving backends (simulator oracle, baselines) the
  * same cached path NeuSight gets natively through NeuSight::attachCache().
+ * A graph forecast compiles the graph first, so the cache sees each
+ * unique kernel once per forecast.
  */
 class CachedPredictor : public graph::LatencyPredictor
 {
@@ -213,6 +215,16 @@ class CachedPredictor : public graph::LatencyPredictor
     double predictKernelMs(const gpusim::KernelDesc &desc,
                            const gpusim::GpuSpec &gpu) const override;
 
+    /** One cache probe per descriptor; the GPU half of the key is
+     *  rendered once per call. Misses ask the inner predictor. */
+    std::vector<double>
+    predictKernelsMs(const std::vector<gpusim::KernelDesc> &descs,
+                     const gpusim::GpuSpec &gpu) const override;
+
+    /** predictTableMs(compileGraph(g), gpu). */
+    double predictGraphMs(const graph::KernelGraph &g,
+                          const gpusim::GpuSpec &gpu) const override;
+
     /** The shared cache (for stats reporting). */
     const std::shared_ptr<PredictionCache> &cache() const
     {
@@ -220,6 +232,12 @@ class CachedPredictor : public graph::LatencyPredictor
     }
 
   private:
+    /** The cached forecast of @p desc, keyed with the rendered GPU
+     *  half @p gpu_part of @p gpu. */
+    double cachedMs(const gpusim::KernelDesc &desc,
+                    const gpusim::GpuSpec &gpu,
+                    const std::string &gpu_part) const;
+
     const graph::LatencyPredictor &inner;
     std::shared_ptr<PredictionCache> cachePtr;
     /** Key prefix (scope + separator), empty when unscoped. */

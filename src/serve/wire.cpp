@@ -249,6 +249,14 @@ requestFromJson(const Json &json)
             static_cast<int>(positiveField(json, "micro_batches", 1));
         req.hybrid.schedule =
             scheduleFromString(json.stringOr("schedule", "gpipe"));
+        // Only a pipeline reads the micro-batch count and schedule;
+        // the data/tensor presets price one micro-batch under GPipe.
+        // Canonicalize before fingerprinting, so requests differing
+        // only in an ignored field coalesce.
+        if (req.strategy != dist::Parallelism::Pipeline) {
+            req.hybrid.numMicroBatches = 1;
+            req.hybrid.schedule = dist::PipelineSchedule::GPipe;
+        }
         req.linkGBps = linkField(json);
     }
     if (req.kind == RequestKind::Hybrid ||

@@ -5,22 +5,30 @@
  * registered set, engine/direct-call parity (results must be
  * bit-identical to wiring the predictor by hand), per-backend cache
  * isolation inside the shared engine cache, and prediction-cache
- * persistence (JSON-lines snapshot round trip + engine warm start).
+ * persistence (JSON-lines snapshot round trip + engine warm start),
+ * and a seeded differential suite over the graph and prediction caches.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <sstream>
 #include <string>
 
 #include "api/engine.hpp"
 #include "api/registry.hpp"
+#include "baselines/habitat.hpp"
+#include "baselines/li.hpp"
+#include "baselines/roofline.hpp"
 #include "common/logging.hpp"
+#include "common/rng.hpp"
 #include "core/predictor.hpp"
 #include "dist/collective.hpp"
 #include "dist/parallel.hpp"
 #include "eval/oracle.hpp"
+#include "gpusim/spec_io.hpp"
 #include "graph/models.hpp"
 
 namespace neusight::api {
@@ -482,6 +490,190 @@ TEST(Engine, WarmStartFromSnapshotServesWithoutMisses)
     EXPECT_GT(stats.hits, 0u);
     EXPECT_EQ(stats.misses, 0u);
     std::remove(path.c_str());
+}
+
+/**
+ * Differential suite of the compiled-graph forecast path: one seeded
+ * corpus of inference, decode and training requests answered with the
+ * graph cache on and off, the prediction cache on and off, cold and
+ * warm, must reproduce, bit for bit, the node-order sum of each raw
+ * backend's predictKernelMs over a freshly built graph.
+ */
+class EngineDifferential : public ::testing::Test
+{
+  protected:
+    static void SetUpTestSuite()
+    {
+        dataset::SamplerConfig sampler;
+        sampler.bmmSamples = 300;
+        sampler.fcSamples = 200;
+        sampler.elementwiseSamples = 150;
+        sampler.softmaxSamples = 100;
+        sampler.layernormSamples = 100;
+        const auto corpus = std::make_shared<
+            const std::map<gpusim::OpType, dataset::OperatorDataset>>(
+            dataset::generateOperatorData(gpusim::nvidiaTrainingSet(),
+                                          sampler));
+        registry = std::make_shared<PredictorRegistry>();
+        registry->add("oracle", [] {
+            return std::make_unique<eval::SimulatorOracle>();
+        });
+        registry->add("roofline", [] {
+            return std::make_unique<baselines::RooflinePredictor>();
+        });
+        registry->add("habitat", [corpus] {
+            baselines::HabitatConfig config;
+            config.train.epochs = 4;
+            auto habitat =
+                std::make_unique<baselines::HabitatPredictor>(config);
+            habitat->train(*corpus);
+            return habitat;
+        });
+        registry->add("li", [corpus] {
+            auto li = std::make_unique<baselines::LiPredictor>();
+            li->train(*corpus);
+            return li;
+        });
+    }
+
+    static void TearDownTestSuite() { registry.reset(); }
+
+    /** A hypothetical GPU read from a JSON file. It shadows a database
+     *  name, so only the GPU half of a cache key tells it apart. */
+    static gpusim::GpuSpec jsonGpu()
+    {
+        gpusim::GpuSpec spec = findGpu("A100-40GB");
+        spec.memoryBwGBps *= 1.5;
+        spec.numSms += 20;
+        const std::string path =
+            (std::filesystem::temp_directory_path() /
+             "neusight_api_differential_gpu.json")
+                .string();
+        gpusim::saveGpuSpecs({spec}, path);
+        gpusim::GpuSpec loaded = ForecastEngine::resolveGpu(path);
+        std::remove(path.c_str());
+        return loaded;
+    }
+
+    static std::vector<ForecastRequest> corpus(size_t count)
+    {
+        const std::vector<gpusim::GpuSpec> gpus = {
+            findGpu("V100"), findGpu("A100-40GB"), findGpu("H100"),
+            findGpu("T4"), jsonGpu()};
+        const std::vector<std::string> backends = {"oracle", "roofline",
+                                                   "habitat", "li"};
+        const std::vector<graph::ModelConfig> &models =
+            graph::paperWorkloads();
+        Rng rng(2021);
+        std::vector<ForecastRequest> out;
+        for (size_t i = 0; i < count; ++i) {
+            ForecastRequest req;
+            const int64_t kind = rng.uniformInt(0, 2);
+            req.kind = kind == 0   ? RequestKind::Inference
+                       : kind == 1 ? RequestKind::DecodeStep
+                                   : RequestKind::Training;
+            req.model = models[rng.uniformInt(
+                            0, static_cast<int64_t>(models.size()) - 1)]
+                            .name;
+            req.batch = static_cast<uint64_t>(rng.uniformInt(1, 16));
+            if (req.kind == RequestKind::DecodeStep)
+                req.pastLen = static_cast<uint64_t>(rng.uniformInt(1, 512));
+            req.gpu = gpus[rng.uniformInt(
+                0, static_cast<int64_t>(gpus.size()) - 1)];
+            req.backend = backends[rng.uniformInt(
+                0, static_cast<int64_t>(backends.size()) - 1)];
+            out.push_back(req);
+        }
+        return out;
+    }
+
+    static graph::KernelGraph graphOf(const ForecastRequest &req)
+    {
+        const graph::ModelConfig &model = graph::findModel(req.model);
+        if (req.kind == RequestKind::Inference)
+            return graph::buildInferenceGraph(model, req.batch);
+        if (req.kind == RequestKind::DecodeStep)
+            return graph::buildDecodeGraph(model, req.batch, req.pastLen);
+        return graph::buildTrainingGraph(model, req.batch);
+    }
+
+    /** The reference: per-node predictKernelMs, summed in node order. */
+    static double nodeOrderSum(const ForecastRequest &req)
+    {
+        const graph::LatencyPredictor &raw = registry->get(req.backend);
+        double total = 0.0;
+        for (const graph::KernelNode &node : graphOf(req).nodes)
+            if (node.kind == graph::NodeKind::Compute)
+                total += raw.predictKernelMs(node.kernel, req.gpu);
+        return total;
+    }
+
+    static ForecastEngine engine(size_t graph_cache, size_t kernel_cache)
+    {
+        EngineConfig config;
+        config.registry = registry;
+        config.defaultBackend = "oracle";
+        config.graphCacheCapacity = graph_cache;
+        config.cacheCapacity = kernel_cache;
+        return ForecastEngine(std::move(config));
+    }
+
+    static bool sameBits(double a, double b)
+    {
+        return std::memcmp(&a, &b, sizeof(double)) == 0;
+    }
+
+    static std::shared_ptr<PredictorRegistry> registry;
+};
+
+std::shared_ptr<PredictorRegistry> EngineDifferential::registry;
+
+TEST_F(EngineDifferential, EveryCacheWiringMatchesTheNodeOrderSum)
+{
+    const std::vector<ForecastRequest> requests = corpus(240);
+    std::vector<double> expected;
+    std::vector<size_t> kernels;
+    for (const ForecastRequest &req : requests) {
+        expected.push_back(nodeOrderSum(req));
+        kernels.push_back(graphOf(req).computeNodeCount());
+    }
+    // Small graph and prediction caches, so both evict mid-corpus.
+    for (const size_t graph_cache : {size_t{0}, size_t{16}}) {
+        for (const size_t kernel_cache : {size_t{0}, size_t{512}}) {
+            const ForecastEngine e = engine(graph_cache, kernel_cache);
+            for (const char *pass : {"cold", "warm"}) {
+                for (size_t i = 0; i < requests.size(); ++i) {
+                    const ForecastResult r = e.forecast(requests[i]);
+                    ASSERT_TRUE(r.ok) << r.error;
+                    EXPECT_TRUE(sameBits(r.latencyMs, expected[i]))
+                        << "request " << i << ' ' << pass << " graph cache "
+                        << graph_cache << " kernel cache " << kernel_cache
+                        << ": " << r.latencyMs << " vs " << expected[i];
+                    EXPECT_EQ(r.kernelCount, kernels[i]);
+                }
+            }
+        }
+    }
+}
+
+TEST_F(EngineDifferential, GraphForecastsThenTablesShareOneCache)
+{
+    // Price each request's freshly built graph through the wired
+    // backend first (filling the prediction cache), then forecast it
+    // through the engine's compiled table: both read the same entries.
+    const std::vector<ForecastRequest> requests = corpus(240);
+    const ForecastEngine e = engine(16, 1 << 16);
+    for (size_t i = 0; i < requests.size(); ++i) {
+        const ForecastRequest &req = requests[i];
+        const double expected = nodeOrderSum(req);
+        const double direct =
+            e.backend(req.backend).predictGraphMs(graphOf(req), req.gpu);
+        EXPECT_TRUE(sameBits(direct, expected)) << "request " << i;
+        const ForecastResult r = e.forecast(req);
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_TRUE(sameBits(r.latencyMs, expected)) << "request " << i;
+    }
+    EXPECT_GT(e.cacheStats().hits, 0u);
 }
 
 TEST(Workload, BuildWorkloadGraphCoversCnnAndTable5)

@@ -2,15 +2,20 @@
  * @file
  * Tests for the DNN graph substrate: Table-5 model builders (parameter
  * counts vs published sizes, FLOPs vs analytic formulas), training-graph
- * synthesis, layer-range slicing, the fusion pass, and the memory model.
+ * synthesis, layer-range slicing, the fusion pass, the memory model, and
+ * graph compilation (unique-kernel tables).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "graph/fusion.hpp"
 #include "graph/graph.hpp"
+#include "graph/latency_predictor.hpp"
 #include "graph/models.hpp"
 
 namespace neusight::graph {
@@ -203,6 +208,80 @@ TEST(Graph, AccountingHelpers)
     EXPECT_EQ(g.countType(OpType::BatchedMatmul), 1u);
     EXPECT_DOUBLE_EQ(g.totalFlops(),
                      2.0 * 64 * 64 * 64 + 100.0);
+}
+
+TEST(CompileGraph, EveryFieldSeparatesKernels)
+{
+    const gpusim::KernelDesc base = gpusim::makeBmm(
+        4, 64, 32, 16, gpusim::DataType::Fp16, /*tensor_core=*/true);
+    std::vector<std::pair<std::string, gpusim::KernelDesc>> variants;
+    const auto vary = [&](const std::string &field,
+                          const std::function<void(gpusim::KernelDesc &)>
+                              &change) {
+        gpusim::KernelDesc d = base;
+        change(d);
+        variants.emplace_back(field, d);
+    };
+    vary("type", [](auto &d) { d.type = OpType::FullyConnected; });
+    vary("opName", [](auto &d) { d.opName = "bmm_"; });
+    for (size_t i = 0; i < base.outDims.size(); ++i)
+        vary("outDims[" + std::to_string(i) + "]",
+             [i](auto &d) { d.outDims[i] += 1; });
+    // The inline dims beyond the rank are zero, so only the rank
+    // itself tells {4,64,32} from {4,64,32,0}.
+    vary("rank", [](auto &d) { d.outDims.push_back(0); });
+    vary("reduceDim", [](auto &d) { d.reduceDim += 1; });
+    vary("flops", [](auto &d) { d.flops = std::nextafter(d.flops, 0.0); });
+    vary("memBytes",
+         [](auto &d) { d.memBytes = std::nextafter(d.memBytes, 0.0); });
+    vary("dtype", [](auto &d) { d.dtype = gpusim::DataType::Fp32; });
+    vary("usesTensorCore", [](auto &d) { d.usesTensorCore = false; });
+    vary("flops +0.0", [](auto &d) { d.flops = 0.0; });
+    vary("flops -0.0", [](auto &d) { d.flops = -0.0; });
+    vary("memBytes +0.0", [](auto &d) { d.memBytes = 0.0; });
+    vary("memBytes -0.0", [](auto &d) { d.memBytes = -0.0; });
+
+    // Every kernel twice, a communication node between the copies.
+    KernelGraph g;
+    g.add(base, "base");
+    for (const auto &[field, d] : variants)
+        g.add(d, field);
+    g.nodes.push_back(KernelNode::comm(NodeKind::AllReduce, 1e6, "ar"));
+    g.add(base, "base again");
+    for (const auto &[field, d] : variants)
+        g.add(d, field + " again");
+
+    const KernelTable table = compileGraph(g);
+    const size_t unique = 1 + variants.size();
+    ASSERT_EQ(table.kernels.size(), unique);
+    ASSERT_EQ(table.slot.size(), 2 * unique);
+    for (size_t i = 0; i < unique; ++i) {
+        EXPECT_EQ(table.slot[i], i)
+            << (i == 0 ? std::string("base") : variants[i - 1].first);
+        EXPECT_EQ(table.slot[unique + i], i);
+    }
+    EXPECT_EQ(table.kernels[0].opName, base.opName);
+    EXPECT_EQ(table.kernels[2].opName, "bmm_");
+}
+
+TEST(CompileGraph, TransformerGraphRepeatsFewKernels)
+{
+    const KernelGraph g = buildInferenceGraph(findModel("GPT2-Large"), 4);
+    const KernelTable table = compileGraph(g);
+    EXPECT_EQ(table.slot.size(), g.computeNodeCount());
+    EXPECT_LT(table.kernels.size(), 40u);
+    // Each slot names a kernel equal to its node's, in node order.
+    size_t i = 0;
+    for (const KernelNode &node : g.nodes) {
+        if (node.kind != NodeKind::Compute)
+            continue;
+        ASSERT_LT(table.slot[i], table.kernels.size());
+        const gpusim::KernelDesc &k = table.kernels[table.slot[i]];
+        EXPECT_EQ(k.opName, node.kernel.opName);
+        EXPECT_TRUE(k.outDims == node.kernel.outDims);
+        EXPECT_EQ(k.flops, node.kernel.flops);
+        ++i;
+    }
 }
 
 TEST(Fusion, AddLayerNormFuses)

@@ -298,7 +298,8 @@ TEST(RequestFingerprint, IgnoresTagDiscriminatesSemantics)
     EXPECT_NE(a.fingerprint(), b.fingerprint());
 }
 
-/** Deterministic predictor that counts graph forecasts and stalls. */
+/** Deterministic predictor that counts graph forecasts and stalls. A
+ *  graph forecast makes one predictKernelsMs call, the seam counted. */
 class SlowCountingPredictor : public graph::LatencyPredictor
 {
   public:
@@ -313,13 +314,13 @@ class SlowCountingPredictor : public graph::LatencyPredictor
         return 0.5;
     }
 
-    double
-    predictGraphMs(const graph::KernelGraph &g,
-                   const gpusim::GpuSpec &gpu) const override
+    std::vector<double>
+    predictKernelsMs(const std::vector<gpusim::KernelDesc> &descs,
+                     const gpusim::GpuSpec &gpu) const override
     {
         calls.fetch_add(1);
         std::this_thread::sleep_for(std::chrono::milliseconds(delayMs));
-        return graph::LatencyPredictor::predictGraphMs(g, gpu);
+        return graph::LatencyPredictor::predictKernelsMs(descs, gpu);
     }
 
     mutable std::atomic<int> calls{0};
@@ -548,6 +549,55 @@ TEST(Wire, RequestRoundTrip)
     EXPECT_EQ(again.fingerprint(), req.fingerprint());
 }
 
+TEST(Wire, DistributedIgnoredFieldsDoNotSplitIdentity)
+{
+    const auto decode = [](const std::string &fields) {
+        return requestFromJson(common::Json::parse(
+            "{\"op\":\"distributed\",\"model\":\"GPT2-Large\","
+            "\"gpu\":\"H100\",\"num_gpus\":4,\"global_batch\":16" +
+            fields + "}"));
+    };
+    // Data and tensor presets price one micro-batch under GPipe, so
+    // their micro_batches/schedule fields are canonicalized away.
+    for (const std::string strategy : {"data", "tensor"}) {
+        const std::string s = ",\"strategy\":\"" + strategy + "\"";
+        const ForecastRequest plain = decode(s);
+        const ForecastRequest extra = decode(
+            s + ",\"micro_batches\":4,\"schedule\":\"interleaved\"");
+        EXPECT_EQ(extra.hybrid.numMicroBatches, 1) << strategy;
+        EXPECT_EQ(extra.hybrid.schedule, dist::PipelineSchedule::GPipe);
+        EXPECT_EQ(extra.fingerprint(), plain.fingerprint()) << strategy;
+    }
+    // A pipeline reads both.
+    const std::string pp = ",\"strategy\":\"pipeline\"";
+    const ForecastRequest m4 =
+        decode(pp + ",\"micro_batches\":4,\"schedule\":\"1f1b\"");
+    EXPECT_NE(m4.fingerprint(),
+              decode(pp + ",\"micro_batches\":2,\"schedule\":\"1f1b\"")
+                  .fingerprint());
+    EXPECT_NE(m4.fingerprint(),
+              decode(pp + ",\"micro_batches\":4,\"schedule\":\"gpipe\"")
+                  .fingerprint());
+
+    // And the two tensor spellings coalesce in flight.
+    const SlowCountingPredictor predictor(40);
+    ServerOptions options;
+    options.workers = 1;
+    ForecastServer server(engineOver(predictor), options);
+    auto first = server.submit(decode(
+        ",\"strategy\":\"tensor\",\"micro_batches\":4,"
+        "\"schedule\":\"interleaved\",\"tag\":\"a\""));
+    auto second =
+        server.submit(decode(",\"strategy\":\"tensor\",\"tag\":\"b\""));
+    const ForecastResult ra = first.get();
+    const ForecastResult rb = second.get();
+    ASSERT_TRUE(ra.ok) << ra.error;
+    ASSERT_TRUE(rb.ok) << rb.error;
+    EXPECT_EQ(rb.tag, "b");
+    EXPECT_TRUE(rb.coalesced);
+    EXPECT_EQ(ra.latencyMs, rb.latencyMs);
+}
+
 TEST(Wire, DecodeNeedsPastAndRejectsUnknownOp)
 {
     EXPECT_THROW(requestFromJson(common::Json::parse(
@@ -632,7 +682,8 @@ TEST(GraphCache, LruEvictionAndPromotion)
         graph::KernelGraph g;
         for (size_t i = 0; i < nodes; ++i)
             g.add(makeLinear(64, 64, 64), "n" + std::to_string(i));
-        return std::make_shared<const graph::KernelGraph>(std::move(g));
+        return std::make_shared<const graph::KernelTable>(
+            graph::compileGraph(g));
     };
     EXPECT_EQ(cache.lookup("a"), nullptr);
     cache.insert("a", make(1));
@@ -642,7 +693,7 @@ TEST(GraphCache, LruEvictionAndPromotion)
     cache.insert("c", make(3));
     EXPECT_EQ(cache.lookup("b"), nullptr);
     ASSERT_NE(cache.lookup("a"), nullptr);
-    EXPECT_EQ(cache.lookup("a")->computeNodeCount(), 1u);
+    EXPECT_EQ(cache.lookup("a")->slot.size(), 1u);
     ASSERT_NE(cache.lookup("c"), nullptr);
     const CacheStats stats = cache.stats();
     EXPECT_EQ(stats.size, 2u);
@@ -658,7 +709,7 @@ TEST(GraphCache, GetOrBuildBuildsOncePerKey)
         ++builds;
         graph::KernelGraph g;
         g.add(makeLinear(8, 8, 8), "n");
-        return g;
+        return graph::compileGraph(g);
     };
     const auto first = cache.getOrBuild("k", build);
     const auto second = cache.getOrBuild("k", build);
@@ -999,7 +1050,9 @@ TEST(Server, TrySubmitBackpressureAndShutdownSemantics)
     // still piggybacks (coalescing never needs a slot).
     ASSERT_TRUE(server.trySubmit(smallInferenceRequest(1, "a"),
                                  completion));
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    // Wait until the worker is pricing "a", so its queue slot is free.
+    while (predictor.calls.load() < 1)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     ASSERT_TRUE(server.trySubmit(smallInferenceRequest(2, "b"),
                                  completion));
     EXPECT_FALSE(server.trySubmit(smallInferenceRequest(3, "c"),

@@ -5,12 +5,15 @@
  * ranking prefix) as the exhaustive escape hatch, on both Table-8 grids
  * (GPT2-Large and GPT3-2.7B), while provably doing less work. Also
  * pins that the StagePriceMemo and the thread pool do not change any
- * forecast.
+ * forecast, and that the memo prices each key once under concurrency.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "dist/parallel.hpp"
@@ -183,6 +186,55 @@ TEST(SweepPrune, MemoDoesNotChangeHybridForecasts)
         }
     }
     EXPECT_GT(memo.hits(), 0u);
+}
+
+TEST(SweepPrune, StagePriceMemoPricesEachKeyOnce)
+{
+    const eval::SimulatorOracle oracle;
+    const ServerConfig server = a100x8();
+    const SimCollectives comms(server.systemName);
+    const ModelConfig &m = graph::findModel("GPT2-Large");
+
+    // Four threads released together price the same plans through one
+    // memo: a thread that finds a key in flight waits for its price.
+    std::vector<HybridConfig> plans;
+    for (const auto &[tp, pp, dp] :
+         {std::tuple{2, 2, 2}, std::tuple{2, 4, 1}, std::tuple{1, 4, 2},
+          std::tuple{4, 2, 1}, std::tuple{1, 8, 1}}) {
+        HybridConfig hy;
+        hy.tpDegree = tp;
+        hy.ppDegree = pp;
+        hy.dpDegree = dp;
+        hy.numMicroBatches = 2;
+        plans.push_back(hy);
+    }
+    StagePriceMemo memo;
+    std::atomic<int> waiting{4};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < 4; ++t)
+        workers.emplace_back([&] {
+            waiting.fetch_sub(1);
+            while (waiting.load() > 0)
+                std::this_thread::yield();
+            for (const HybridConfig &hy : plans)
+                hybridTrainingMs(oracle, comms, server, m, 16, hy, &memo);
+        });
+    for (std::thread &worker : workers)
+        worker.join();
+    EXPECT_EQ(memo.misses(), memo.size());
+    EXPECT_GT(memo.hits(), 0u);
+
+    // So the sweep's memo accounting no longer depends on its pool.
+    SweepOptions serial;
+    serial.threads = 1;
+    SweepOptions pooled;
+    pooled.threads = 4;
+    SweepStats serial_stats;
+    SweepStats pooled_stats;
+    sweepStrategies(oracle, comms, server, m, 32, serial, &serial_stats);
+    sweepStrategies(oracle, comms, server, m, 32, pooled, &pooled_stats);
+    EXPECT_EQ(pooled_stats.stagePriceMisses, serial_stats.stagePriceMisses);
+    EXPECT_EQ(pooled_stats.stagePriceHits, serial_stats.stagePriceHits);
 }
 
 TEST(SweepPrune, ThreadPoolIsDeterministic)
