@@ -14,19 +14,15 @@ namespace {
 
 std::atomic<bool> quietFlag{false};
 
-/** -1 = unset (consult the environment on first use), 0/1 = forced. */
-std::atomic<int> timestampsFlag{-1};
-
+/** NEUSIGHT_LOG_TIMESTAMPS=1, read on first use. */
 bool
 timestampsEnabled()
 {
-    int state = timestampsFlag.load(std::memory_order_relaxed);
-    if (state < 0) {
+    static const bool enabled = [] {
         const char *env = std::getenv("NEUSIGHT_LOG_TIMESTAMPS");
-        state = (env != nullptr && env[0] == '1') ? 1 : 0;
-        timestampsFlag.store(state, std::memory_order_relaxed);
-    }
-    return state == 1;
+        return env != nullptr && env[0] == '1';
+    }();
+    return enabled;
 }
 
 /** "2026-08-08T12:34:56.789Z" (UTC, millisecond resolution). */
@@ -98,12 +94,6 @@ void
 setQuiet(bool quiet)
 {
     quietFlag.store(quiet, std::memory_order_relaxed);
-}
-
-void
-setLogTimestamps(bool enable)
-{
-    timestampsFlag.store(enable ? 1 : 0, std::memory_order_relaxed);
 }
 
 } // namespace neusight

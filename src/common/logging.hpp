@@ -31,7 +31,13 @@ namespace neusight {
  */
 [[noreturn]] void fatal(const std::string &message);
 
-/** Print a warning to stderr; execution continues. */
+/**
+ * Print a warning to stderr; execution continues. With
+ * NEUSIGHT_LOG_TIMESTAMPS=1 in the environment (read on first use),
+ * warn()/inform() lines carry an ISO-8601 UTC timestamp and a severity
+ * tag ("2026-08-08T12:34:56.789Z [WARN] ..."), so server logs correlate
+ * with trace spans; off by default (the bare legacy format).
+ */
 void warn(const std::string &message);
 
 /** Print an informational message to stderr; execution continues. */
@@ -39,15 +45,6 @@ void inform(const std::string &message);
 
 /** Globally silence warn()/inform() (used by tests and benches). */
 void setQuiet(bool quiet);
-
-/**
- * Prefix warn()/inform() lines with an ISO-8601 UTC timestamp and a
- * severity tag ("2026-08-08T12:34:56.789Z [WARN] ..."), so server logs
- * correlate with trace spans. Off by default (the bare legacy format);
- * also enabled by the NEUSIGHT_LOG_TIMESTAMPS=1 environment variable,
- * read on first use.
- */
-void setLogTimestamps(bool enable);
 
 /**
  * Assert an invariant that must hold independent of user input.

@@ -103,13 +103,6 @@ ShardRouter::~ShardRouter()
     closeFd(epollFd);
 }
 
-void
-ShardRouter::requestStop()
-{
-    stopRequested.store(true, std::memory_order_release);
-    wake.notify();
-}
-
 std::vector<pid_t>
 ShardRouter::activePids() const
 {

@@ -142,9 +142,6 @@ class ShardRouter
     /** Run the epoll loop; returns after the drain completes. */
     void run();
 
-    /** Ask run() to drain and return. Thread-safe and idempotent. */
-    void requestStop();
-
     /// @name Stop-signal plumbing for net::installStopSignals.
     /// @{
     std::atomic<bool> *stopFlag() { return &stopRequested; }

@@ -368,11 +368,4 @@ MetricsRegistry::toTable() const
     return out;
 }
 
-MetricsRegistry &
-MetricsRegistry::global()
-{
-    static MetricsRegistry registry;
-    return registry;
-}
-
 } // namespace neusight::obs

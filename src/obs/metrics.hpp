@@ -224,9 +224,6 @@ class MetricsRegistry
      */
     std::string toTable() const;
 
-    /** The process-wide default registry. */
-    static MetricsRegistry &global();
-
   private:
     struct Slot
     {

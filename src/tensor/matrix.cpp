@@ -96,12 +96,10 @@ linearF32(const MatrixF32 &x, const MatrixF32 &w, const MatrixF32 &bias,
         for (size_t p = 0; p < k; ++p) {
             const float xval = xrow[p];
             const float *NEUSIGHT_RESTRICT wrow = w.raw() + p * n;
-#pragma omp simd
             for (size_t j = 0; j < n; ++j)
                 yrow[j] += xval * wrow[j];
         }
         if (applyRelu) {
-#pragma omp simd
             for (size_t j = 0; j < n; ++j)
                 yrow[j] = yrow[j] > 0.0f ? yrow[j] : 0.0f;
         }
@@ -151,7 +149,6 @@ matmul(const Matrix &a, const Matrix &b)
     const size_t n = b.cols();
     Matrix c(m, n);
     // i-k-j loop order: unit-stride access on both B and C.
-#pragma omp parallel for schedule(static) if (m * n * k > 1 << 16)
     for (size_t i = 0; i < m; ++i) {
         double *crow = c.raw() + i * n;
         const double *arow = a.raw() + i * k;
@@ -175,7 +172,6 @@ matmulNT(const Matrix &a, const Matrix &b)
     const size_t k = a.cols();
     const size_t n = b.rows();
     Matrix c(m, n);
-#pragma omp parallel for schedule(static) if (m * n * k > 1 << 16)
     for (size_t i = 0; i < m; ++i) {
         const double *arow = a.raw() + i * k;
         double *crow = c.raw() + i * n;
@@ -204,15 +200,10 @@ matmulTN(const Matrix &a, const Matrix &b)
     // malloc per call.
     thread_local Matrix at;
     transposeInto(a, at);
-    // Read the scratch through a plain pointer taken here: inside the
-    // parallel region, `at` names each OpenMP worker's own (empty)
-    // thread-local copy.
-    const double *atraw = at.raw();
     Matrix c(m, n);
-#pragma omp parallel for schedule(static) if (m * n * k > 1 << 16)
     for (size_t i = 0; i < m; ++i) {
         double *crow = c.raw() + i * n;
-        const double *atrow = atraw + i * k;
+        const double *atrow = at.raw() + i * k;
         for (size_t p = 0; p < k; ++p) {
             const double aval = atrow[p];
             if (aval == 0.0)

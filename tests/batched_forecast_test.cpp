@@ -63,7 +63,7 @@ TEST(InferRows, BatchRowsMatchSingleRowBitExactly)
     nn::Mlp mlp(cfg);
 
     Rng rng(77);
-    const size_t n = 96; // Above the GEMM's OpenMP threshold.
+    const size_t n = 96;
     Matrix batch(n, cfg.inputDim);
     for (size_t i = 0; i < batch.size(); ++i)
         batch.raw()[i] = rng.normal(0.0, 3.0);

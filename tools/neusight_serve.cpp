@@ -357,30 +357,26 @@ run(int argc, const char *const *argv)
     if (!script.empty() && args.getFlag("async"))
         fatal("--async applies to stdin; --script already submits the "
               "whole script through the worker pool");
-    if (script.empty() && args.getFlag("async")) {
+    if (script.empty()) {
         if (repeat != 1)
             fatal("--repeat needs --script (stdin is answered line by "
                   "line as it arrives)");
-        // Async stdin: submit each line the moment it parses and print
-        // completed results in submission order, so execution overlaps
-        // with reading and one piped client keeps every worker busy.
+        // Stdin: submit each line the moment it parses and print results
+        // in submission order. Without --async the window is one request,
+        // so each answer prints before the next line is read (a REPL
+        // over a held-open pipe). --async overlaps execution with
+        // reading, so one piped client keeps every worker busy; ready
+        // results print as lines arrive, and a slow head-of-line request
+        // holds back at most 4096 completed ones.
+        const size_t backlog = args.getFlag("async") ? 4096 : 0;
         std::deque<std::future<serve::ForecastResult>> inflight;
-        const auto emit = [&](serve::ForecastResult result) {
+        const auto emitFront = [&] {
+            const serve::ForecastResult result = inflight.front().get();
+            inflight.pop_front();
             ++answered;
             if (!result.ok)
                 ++failed;
             printResult(result);
-        };
-        // Print the leading results that are ready (blocking = drain
-        // everything, e.g. at EOF); order is submission order.
-        const auto drain = [&](bool blocking) {
-            while (!inflight.empty() &&
-                   (blocking ||
-                    inflight.front().wait_for(std::chrono::seconds(0)) ==
-                        std::future_status::ready)) {
-                emit(inflight.front().get());
-                inflight.pop_front();
-            }
         };
         std::string line;
         size_t line_no = 0;
@@ -400,42 +396,15 @@ run(int argc, const char *const *argv)
                 immediate.set_value(std::move(result));
                 inflight.push_back(immediate.get_future());
             }
-            drain(/*blocking=*/false);
-            // Bound the completed-but-unprinted backlog behind a slow
-            // head-of-line request.
-            while (inflight.size() > 4096) {
-                emit(inflight.front().get());
-                inflight.pop_front();
-            }
+            while (!inflight.empty() &&
+                   inflight.front().wait_for(std::chrono::seconds(0)) ==
+                       std::future_status::ready)
+                emitFront();
+            while (inflight.size() > backlog)
+                emitFront();
         }
-        drain(/*blocking=*/true);
-    } else if (script.empty()) {
-        if (repeat != 1)
-            fatal("--repeat needs --script (stdin is answered line by "
-                  "line as it arrives)");
-        // REPL: answer each line as it arrives (pipes still stream).
-        std::string line;
-        size_t line_no = 0;
-        while (std::getline(std::cin, line)) {
-            ++line_no;
-            if (serve::isSkippableRequestLine(line))
-                continue;
-            serve::ForecastResult result;
-            try {
-                result = server
-                             .submit(serve::requestFromJson(
-                                 common::Json::parse(line)))
-                             .get();
-            } catch (const std::exception &e) {
-                result.ok = false;
-                result.error = "line " + std::to_string(line_no) + ": " +
-                               e.what();
-            }
-            ++answered;
-            if (!result.ok)
-                ++failed;
-            printResult(result);
-        }
+        while (!inflight.empty())
+            emitFront();
     } else {
         std::ifstream in(script);
         if (!in)
