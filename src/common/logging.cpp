@@ -56,11 +56,15 @@ emit(const char *legacy_prefix, const char *severity,
 {
     if (quietFlag.load(std::memory_order_relaxed))
         return;
+    // stdio, not iostreams: the net loop warns exactly when the process
+    // is out of file descriptors, and there UBSan's check of a first
+    // virtual std::cerr call fails (its runtime probes memory through a
+    // pipe it can no longer open).
     if (timestampsEnabled())
-        std::cerr << isoTimestamp() << " [" << severity << "] "
-                  << message << std::endl;
+        std::fprintf(stderr, "%s [%s] %s\n", isoTimestamp().c_str(),
+                     severity, message.c_str());
     else
-        std::cerr << legacy_prefix << message << std::endl;
+        std::fprintf(stderr, "%s%s\n", legacy_prefix, message.c_str());
 }
 
 } // namespace

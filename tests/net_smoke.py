@@ -14,16 +14,25 @@ self-healing invariants — every accepted request gets exactly one reply
 the killed shard respawns and rejoins the ring, and the router's
 request ledger balances (submitted == completed + rejected + timed_out).
 
+Every arm checks that net.connections counts exactly the connections
+the script opened (a shard worker's router pipe is not a client) and
+that the request ledger balances. The plain arms end with a
+descriptor-exhaustion phase: with RLIMIT_NOFILE at 24 and 40 clients
+connected, the server must neither spin on accept nor flood stderr, and
+must serve a fresh client once the held connections close.
+
 Usage: net_smoke.py <path-to-neusight-serve> [--shards N] [--chaos]
 """
 
 import json
 import os
 import re
+import resource
 import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 TYPED_ERRORS = {"timeout", "overload", "unavailable", "draining"}
@@ -34,11 +43,12 @@ def fail(msg):
     sys.exit(1)
 
 
-def spawn_server(serve, extra_args):
+def spawn_server(serve, extra_args, preexec_fn=None):
     """Start neusight-serve and return (proc, port) once it listens."""
     cmd = [serve, "--backend", "oracle", "--workers", "1",
            "--listen", "127.0.0.1:0"] + extra_args
-    proc = subprocess.Popen(cmd, stderr=subprocess.PIPE)
+    proc = subprocess.Popen(cmd, stderr=subprocess.PIPE,
+                            preexec_fn=preexec_fn)
     deadline = time.time() + 30
     for raw in proc.stderr:
         line = raw.decode(errors="replace")
@@ -137,6 +147,14 @@ def await_recovery(client, shards, min_restarts, what):
         time.sleep(0.2)
 
 
+def check_connections(stats, opened, what):
+    """net.connections counts client connections once, in the process
+    that faces the clients."""
+    if stats.get("net.connections") != opened:
+        fail("%s: net.connections=%s, but %d connection(s) were opened"
+             % (what, stats.get("net.connections"), opened))
+
+
 def check_ledger(stats, what):
     submitted = stats.get("net.requests.submitted", 0)
     settled = (stats.get("net.requests.completed", 0)
@@ -191,6 +209,7 @@ def chaos_kill_phase(serve, shards):
         if stats.get("net.shard.deaths", 0) < 1:
             fail("kill phase: death not recorded: %s" % stats)
         check_ledger(stats, "kill phase")
+        check_connections(stats, 1, "kill phase")
         shutdown(proc, client)
         print("net_smoke: kill phase OK (pid %d killed, ok=%d "
               "typed-errors=%s)" % (victim, answered[0], errors))
@@ -214,11 +233,77 @@ def chaos_wedge_phase(serve):
             drive_window(client, 1000 + w * 10, 10, answered, errors)
         stats = await_recovery(client, 2, 1, "wedge phase")
         check_ledger(stats, "wedge phase")
+        check_connections(stats, 1, "wedge phase")
         if answered[0] == 0:
             fail("wedge phase: nothing succeeded")
         shutdown(proc, client)
         print("net_smoke: wedge phase OK (ok=%d typed-errors=%s)"
               % (answered[0], errors))
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+
+
+def process_cpu_seconds(pid):
+    """User + system CPU of @pid and its direct children (the shard
+    workers), from /proc."""
+    ticks = os.sysconf("SC_CLK_TCK")
+    total = 0.0
+    children = "/proc/%d/task/%d/children" % (pid, pid)
+    with open(children) as f:
+        pids = [pid] + [int(p) for p in f.read().split()]
+    for p in pids:
+        with open("/proc/%d/stat" % p) as f:
+            fields = f.read().rsplit(")", 1)[1].split()
+        total += (int(fields[11]) + int(fields[12])) / ticks
+    return total
+
+
+def fd_exhaustion_phase(serve, shards):
+    """Out of file descriptors, the level-triggered listen socket stays
+    readable while accept() fails with EMFILE: the server must take it
+    out of the loop (no spin, one warning) and accept again once
+    descriptors free up."""
+    def limit_fds():
+        resource.setrlimit(resource.RLIMIT_NOFILE, (24, 24))
+
+    proc, port = spawn_server(serve, ["--shards", str(shards)],
+                              preexec_fn=limit_fds)
+    warnings = [0]
+
+    def pump_stderr():
+        for raw in proc.stderr:
+            if b"warn" in raw:
+                warnings[0] += 1
+
+    threading.Thread(target=pump_stderr, daemon=True).start()
+    try:
+        held = [socket.create_connection(("127.0.0.1", port), timeout=30)
+                for _ in range(40)]
+        time.sleep(0.2)  # Let the server hit the limit.
+        cpu_before = process_cpu_seconds(proc.pid)
+        time.sleep(2.0)
+        cpu = process_cpu_seconds(proc.pid) - cpu_before
+        if cpu >= 0.2:
+            fail("fd phase: server burned %.2f s of CPU in 2 s with its "
+                 "descriptors exhausted" % cpu)
+        if warnings[0] >= 10:
+            fail("fd phase: %d warn lines in 2 s" % warnings[0])
+        for sock in held:
+            sock.close()
+        client = Client(port)
+        client.sock.settimeout(5)
+        client.request({"op": "ping", "tag": "fresh"})
+        r = client.reply()
+        if not r.get("pong") or r.get("tag") != "fresh":
+            fail("fd phase: fresh client got %s instead of a pong" % r)
+        client.sock.settimeout(30)
+        stats = client.stats("fd")["stats"]
+        check_connections(stats, len(held) + 1, "fd phase")
+        check_ledger(stats, "fd phase")
+        shutdown(proc, client)
+        print("net_smoke: fd phase OK (cpu=%.3f s, warn lines=%d)"
+              % (cpu, warnings[0]))
     finally:
         if proc.poll() is None:
             proc.kill()
@@ -303,6 +388,8 @@ def main():
         if r["stats"].get("engine.instances") != shards:
             fail("merged stats shows %s engine instances, want %d"
                  % (r["stats"].get("engine.instances"), shards))
+        check_connections(r["stats"], 1, "plain")
+        check_ledger(r["stats"], "plain")
 
         # SIGTERM during load: put a request in flight, give the event
         # loop a beat to read it off the socket (the forecast itself
@@ -325,6 +412,7 @@ def main():
             fail("server did not exit within 60s of SIGTERM")
     if code != 0:
         fail("server exited %d after SIGTERM drain" % code)
+    fd_exhaustion_phase(serve, shards)
     print("net_smoke: OK (shards=%d)" % shards)
 
 

@@ -10,6 +10,10 @@
  * respawned shard reclaims exactly its old keys), the respawn
  * scheduler's backoff/park policy, the fault-spec grammar, inline ping
  * answers, and request deadlines (typed "timeout" errors).
+ * Plus the ShardRouter in-process: over socketpairs to SocketServer
+ * shards serving their adopted ends, a seeded request corpus must
+ * forecast the same as through one single-shard server, and a shard
+ * that never answers must yield a typed timeout with a balanced ledger.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +21,12 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <map>
+#include <memory>
+#include <random>
 #include <set>
 #include <string>
+#include <sys/socket.h>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -27,6 +35,7 @@
 #include "net/fault.hpp"
 #include "net/hash_ring.hpp"
 #include "net/io.hpp"
+#include "net/shard_router.hpp"
 #include "net/socket_server.hpp"
 #include "net/supervisor.hpp"
 #include "obs/merge.hpp"
@@ -671,6 +680,212 @@ TEST(SocketServer, PerRequestTimeoutOverridesTheServerDefault)
         }
     }
     EXPECT_TRUE(hurried_timed_out);
+}
+
+// ----------------------------------------------------- in-process router
+
+/** A ShardRouter over socketpairs to in-process SocketServer shards,
+ *  each serving its adopted end on its own thread (pid -1: nothing to
+ *  reap; no respawn, no heartbeats). */
+class InProcessCluster
+{
+  public:
+    explicit InProcessCluster(size_t shards,
+                              net::ShardRouterOptions options = {})
+    {
+        std::vector<net::ShardHandle> handles;
+        for (size_t s = 0; s < shards; ++s) {
+            int fds[2];
+            EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0,
+                                   fds),
+                      0);
+            serve::ServerOptions engine_options;
+            engine_options.workers = 1;
+            engines.push_back(std::make_unique<serve::ForecastServer>(
+                std::make_shared<api::ForecastEngine>(
+                    api::EngineConfig().backend("oracle").cache(0)),
+                engine_options));
+            net::SocketServerOptions shard_options;
+            shard_options.adoptedFd = fds[1];
+            shard_options.maxInFlightPerClient = 0;
+            shardServers.push_back(std::make_unique<net::SocketServer>(
+                *engines.back(), shard_options));
+            net::ShardHandle handle;
+            handle.fd = fds[0];
+            handles.push_back(handle);
+        }
+        options.heartbeatIntervalMs = 0;
+        options.respawn = nullptr;
+        router = std::make_unique<net::ShardRouter>(std::move(handles),
+                                                    options);
+        for (auto &shard : shardServers)
+            threads.emplace_back([&shard] { shard->run(); });
+        threads.emplace_back([this] { router->run(); });
+    }
+
+    ~InProcessCluster()
+    {
+        // The router drains and closes its pipes; each shard then sees
+        // EOF, settles, and returns from run().
+        router->requestStop();
+        for (std::thread &thread : threads)
+            thread.join();
+        for (auto &engine : engines)
+            engine->stop();
+    }
+
+    std::vector<std::unique_ptr<serve::ForecastServer>> engines;
+    std::vector<std::unique_ptr<net::SocketServer>> shardServers;
+    std::unique_ptr<net::ShardRouter> router;
+    std::vector<std::thread> threads;
+};
+
+/** A seeded corpus of inference, decode, training and distributed
+ *  requests over the Table-5 models and several GPUs, tagged q<i>. */
+std::vector<std::string>
+requestCorpus(size_t count, uint64_t seed)
+{
+    const std::vector<std::string> models = {
+        "BERT-Large", "GPT2-Large", "GPT3-XL", "OPT-1.3B", "GPT3-2.7B"};
+    const std::vector<std::string> gpus = {"V100", "T4", "A100-40GB",
+                                           "H100"};
+    const std::vector<std::string> strategies = {"data", "tensor",
+                                                 "pipeline"};
+    std::mt19937_64 rng(seed);
+    const auto pick = [&rng](const std::vector<std::string> &from) {
+        return from[rng() % from.size()];
+    };
+    std::vector<std::string> lines;
+    for (size_t i = 0; i < count; ++i) {
+        Json json;
+        switch (i % 4) {
+          case 0:
+            json.set("op", "inference");
+            break;
+          case 1:
+            json.set("op", "decode");
+            json.set("past", static_cast<uint64_t>(128 << (rng() % 5)));
+            break;
+          case 2:
+            json.set("op", "training");
+            break;
+          default:
+            json.set("op", "distributed");
+            json.set("num_gpus", static_cast<uint64_t>(2 << (rng() % 2)));
+            json.set("global_batch", static_cast<uint64_t>(8));
+            json.set("strategy", pick(strategies));
+            json.set("micro_batches", static_cast<uint64_t>(4));
+            json.set("schedule", rng() % 2 ? "1f1b" : "gpipe");
+            break;
+        }
+        json.set("model", pick(models));
+        json.set("gpu", pick(gpus));
+        json.set("batch", static_cast<uint64_t>(1 + rng() % 8));
+        json.set("tag", "q" + std::to_string(i));
+        lines.push_back(json.dump(0) + "\n");
+    }
+    return lines;
+}
+
+/** Send every line on one connection; replies keyed by tag. */
+std::map<std::string, Json>
+replayCorpus(uint16_t port, const std::vector<std::string> &lines)
+{
+    LineClient client(port);
+    std::string burst;
+    for (const std::string &line : lines)
+        burst += line;
+    client.send(burst);
+    std::map<std::string, Json> replies;
+    for (size_t i = 0; i < lines.size(); ++i) {
+        Json reply = client.readReply();
+        EXPECT_TRUE(reply.isObject()) << "missing reply " << i;
+        if (!reply.isObject())
+            break;
+        replies[reply.stringOr("tag", "")] = std::move(reply);
+    }
+    return replies;
+}
+
+TEST(ShardRouter, ShardedForecastsEqualSingleShardOnes)
+{
+    const std::vector<std::string> corpus = requestCorpus(72, 20261021);
+    std::map<std::string, Json> single;
+    {
+        LoopbackServer loop;
+        single = replayCorpus(loop.sock.port(), corpus);
+    }
+    std::map<std::string, Json> sharded;
+    {
+        InProcessCluster cluster(3);
+        sharded = replayCorpus(cluster.router->port(), corpus);
+    }
+    ASSERT_EQ(single.size(), corpus.size());
+    ASSERT_EQ(sharded.size(), corpus.size());
+
+    const std::vector<std::string> doubles = {
+        "latency_ms", "comm_bytes", "bubble_ms", "exposed_ddp_ms"};
+    const std::vector<std::string> exact = {"ok",   "error", "code",
+                                            "kernels", "strategy", "oom"};
+    int ok = 0;
+    for (const auto &[tag, want] : single) {
+        ASSERT_TRUE(sharded.count(tag)) << tag;
+        const Json &got = sharded.at(tag);
+        ok += want.boolOr("ok", false) ? 1 : 0;
+        for (const std::string &field : doubles) {
+            ASSERT_EQ(want.has(field), got.has(field)) << tag << " " << field;
+            if (!want.has(field))
+                continue;
+            const double a = want.at(field).asDouble();
+            const double b = got.at(field).asDouble();
+            EXPECT_EQ(std::memcmp(&a, &b, sizeof(a)), 0)
+                << tag << " " << field << ": " << a << " vs " << b;
+        }
+        for (const std::string &field : exact) {
+            ASSERT_EQ(want.has(field), got.has(field)) << tag << " " << field;
+            if (want.has(field)) {
+                EXPECT_EQ(want.at(field).dump(0), got.at(field).dump(0))
+                    << tag << " " << field;
+            }
+        }
+    }
+    // The corpus must exercise forecasts, not just agree on errors.
+    EXPECT_GE(ok, 48);
+}
+
+TEST(ShardRouter, SilentShardAnswersTypedTimeoutAndTheLedgerBalances)
+{
+    // One shard whose pipe end the test holds and never answers.
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
+    net::ShardRouterOptions options;
+    options.heartbeatIntervalMs = 0;
+    options.requestTimeoutMs = 50;
+    std::vector<net::ShardHandle> handles(1);
+    handles[0].fd = fds[0];
+    net::ShardRouter router(std::move(handles), options);
+    std::thread loop([&router] { router.run(); });
+
+    LineClient client(router.port());
+    client.send(forecastLine("BERT-Large", 1, "silent"));
+    const Json reply = client.readReply();
+    EXPECT_FALSE(reply.boolOr("ok", true)) << reply.dump(0);
+    EXPECT_EQ(reply.stringOr("code", ""), "timeout") << reply.dump(0);
+    EXPECT_EQ(reply.stringOr("tag", ""), "silent");
+
+    const Json stats = router.metrics().toJson();
+    EXPECT_EQ(stats.at("net.requests.submitted").asInt(), 1);
+    EXPECT_EQ(stats.at("net.requests.timed_out").asInt(), 1);
+    EXPECT_EQ(stats.at("net.requests.completed").asInt() +
+                  stats.at("net.requests.rejected").asInt() +
+                  stats.at("net.requests.timed_out").asInt(),
+              stats.at("net.requests.submitted").asInt());
+    EXPECT_EQ(stats.at("net.timeouts").asInt(), 1);
+
+    // The shard's EOF settles the late request, so the drain is quick.
+    net::closeFd(fds[1]);
+    router.requestStop();
+    loop.join();
 }
 
 } // namespace
